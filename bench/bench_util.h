@@ -7,6 +7,9 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -138,6 +141,45 @@ inline void PrintPmReadSplit(const char* label, const sim::Stats& stats) {
               static_cast<unsigned long long>(stats.read_journal_bytes()),
               static_cast<unsigned long long>(stats.read_log_bytes()),
               static_cast<unsigned long long>(stats.read_staging_bytes()));
+}
+
+// Host-time loop harness for per-structure microbenches: what the simulator's own
+// code costs to run, in real nanoseconds. One warm-up segment, then kSegments timed
+// segments of `iters` calls each; reports the median ns/call and the quartiles of
+// the segments. Host numbers are trend artifacts, not gates.
+struct HostTiming {
+  static constexpr int kSegments = 5;
+  double median_ns = 0;
+  double q1_ns = 0;
+  double q3_ns = 0;
+};
+
+// `call` returns a value that is folded into this sink, so the loop cannot be elided.
+inline volatile uint64_t host_loop_sink = 0;
+
+template <typename Call>
+HostTiming TimeHostLoop(uint64_t iters, Call&& call) {
+  uint64_t sink = 0;
+  std::array<double, HostTiming::kSegments> ns{};
+  for (int seg = -1; seg < HostTiming::kSegments; ++seg) {  // seg -1 is warm-up.
+    auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < iters; ++i) {
+      sink += static_cast<uint64_t>(call(i));
+    }
+    auto t1 = std::chrono::steady_clock::now();
+    if (seg >= 0) {
+      ns[seg] = std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                static_cast<double>(iters);
+    }
+  }
+  host_loop_sink = sink;
+  std::sort(ns.begin(), ns.end());
+  return {ns[2], ns[1], ns[3]};
+}
+
+inline void PrintHostTiming(const char* label, const HostTiming& t) {
+  std::printf("  %-40s %10.1f ns/call  (q1 %.1f, q3 %.1f)\n", label, t.median_ns,
+              t.q1_ns, t.q3_ns);
 }
 
 inline void PrintHeader(const char* title, const char* paper_ref) {

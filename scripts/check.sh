@@ -27,6 +27,8 @@
 # smoke: bench_scalability --trace (commit-coalescing + trace-reconciliation
 # self-check), --schema-check (BENCH_scalability.json schema), and --repeat-check
 # (determinism gates: posix append + the shared-hot-file range-lock cells).
+# Last, `bench_splitfs/run.py --check` self-tests the repository benchmark
+# against BENCHMARK.json.
 #
 # Extra arguments are forwarded to ctest.
 set -euo pipefail
@@ -100,3 +102,6 @@ trap 'rm -f "$storm_trace"' EXIT
 # schema_version-2 shape (per-tenant latency percentiles, contention ledger,
 # qos_on/qos_off degradation factors).
 ./build/bench_multitenant --schema-check
+# Repository benchmark self-test: builds bench_splitfs (into .bench_build/) and
+# checks that every workload and metric BENCHMARK.json names is produced.
+python3 bench_splitfs/run.py --check

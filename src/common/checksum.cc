@@ -1,6 +1,11 @@
 #include "src/common/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace common {
 namespace {
@@ -25,25 +30,56 @@ const std::array<uint32_t, 256>& Table() {
   return table;
 }
 
-}  // namespace
+// Kernels take and return the raw (pre-inverted) register; Crc32c applies the
+// seed/result inversions once.
+using Kernel = uint32_t (*)(const uint8_t* p, size_t n, uint32_t crc);
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+uint32_t TableKernel(const uint8_t* p, size_t n, uint32_t crc) {
   const auto& table = Table();
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
   for (size_t i = 0; i < n; ++i) {
     crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
   }
-  return ~crc;
+  return crc;
 }
 
-uint32_t Crc32cSkip4(const void* data, size_t n, size_t skip_offset) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = Crc32c(p, skip_offset);
-  if (skip_offset + 4 < n) {
-    crc = Crc32c(p + skip_offset + 4, n - skip_offset - 4, crc);
+#if defined(__x86_64__)
+// SSE4.2 CRC32 instruction: same Castagnoli polynomial, eight bytes per step. The
+// word loads go through memcpy, so unaligned input is well-defined.
+__attribute__((target("sse4.2"))) uint32_t Sse42Kernel(const uint8_t* p, size_t n,
+                                                        uint32_t crc) {
+  uint64_t crc64 = crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  crc = static_cast<uint32_t>(crc64);
+  for (; n > 0; ++p, --n) {
+    crc = _mm_crc32_u8(crc, *p);
   }
   return crc;
+}
+#endif
+
+Kernel PickKernel() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) {
+    return Sse42Kernel;
+  }
+#endif
+  return TableKernel;
+}
+
+}  // namespace
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+  static const Kernel kernel = PickKernel();
+  return ~kernel(static_cast<const uint8_t*>(data), n, ~seed);
+}
+
+uint32_t Crc32cReference(const void* data, size_t n, uint32_t seed) {
+  return ~TableKernel(static_cast<const uint8_t*>(data), n, ~seed);
 }
 
 }  // namespace common

@@ -9,13 +9,12 @@
 namespace common {
 
 // Computes CRC32C over `data[0, n)`, seeded with `seed` (pass 0 for a fresh CRC).
-// Software slice-by-1 implementation; speed is irrelevant here because benches report
-// simulated time, but correctness (torn-entry detection) is load-bearing.
+// Runs the SSE4.2 crc32 instruction when the CPU has it, else the byte-table loop.
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 
-// Convenience for "checksum everything except the checksum field itself" layouts:
-// computes CRC32C over [p, p+skip_offset) ++ [p+skip_offset+4, p+n).
-uint32_t Crc32cSkip4(const void* data, size_t n, size_t skip_offset);
+// The byte-at-a-time table loop on every CPU: the portable fallback of Crc32c and
+// the reference its tests and host microbench compare against. Same results.
+uint32_t Crc32cReference(const void* data, size_t n, uint32_t seed = 0);
 
 }  // namespace common
 

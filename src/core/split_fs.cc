@@ -366,21 +366,26 @@ int SplitFs::Close(int fd) {
     staged = !fs->staged.empty();
   }
   if (staged) {
-    bool enqueue = false;
+    PublishOutcome outcome;
     {
       RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
-      int rc = PublishOrIntend(fs.get(), &enqueue);
+      int rc = PublishOrIntend(fs.get(), &outcome);
       if (rc != 0) {
         return rc;
       }
+      if (outcome == PublishOutcome::kPublished) {
+        // Synchronous publish: close() acks durability of everything this file
+        // staged (§3.4). Claimed under the lock, like Fsync: once it drops, a
+        // concurrent appender's fresh unfenced bytes join the file's dependency
+        // set. Deferred publishes acked at the intent-log fence instead.
+        analysis::DurabilityPoint(kfs_->device(), fs->ino, "splitfs.close");
+      }
     }
-    if (enqueue) {
+    if (close_ack_hook_) {
+      close_ack_hook_();  // Test-only: an append between the lock drop and the enqueue.
+    }
+    if (outcome == PublishOutcome::kEnqueue) {
       EnqueuePublish(fs);
-    } else {
-      // Synchronous publish path: close() acks durability of everything this file
-      // staged (§3.4). Deferred (async-relink) publishes ack at the intent log
-      // instead, so no durability claim is made here.
-      analysis::DurabilityPoint(kfs_->device(), fs->ino, "splitfs.close");
     }
   }
   // The application's close traps into the kernel; U-Split keeps its own descriptor
@@ -1388,8 +1393,8 @@ int SplitFs::PublishStaged(FileState* fs, bool log_done, bool defer_commit) {
 
 // --- Async relink publication ---------------------------------------------------------
 
-int SplitFs::PublishOrIntend(FileState* fs, bool* enqueue) {
-  *enqueue = false;
+int SplitFs::PublishOrIntend(FileState* fs, PublishOutcome* outcome) {
+  *outcome = PublishOutcome::kPublished;
   if (!opts_.async_relink) {
     TakeJournalCredit();  // Sync publish commits the journal on the caller.
     return PublishStaged(fs);
@@ -1429,7 +1434,8 @@ int SplitFs::PublishOrIntend(FileState* fs, bool* enqueue) {
     fs->publish_pending = false;
     return rc;
   }
-  *enqueue = !was_pending;  // Already queued: the pending publish covers our runs.
+  // Already queued: the pending publish covers our runs.
+  *outcome = was_pending ? PublishOutcome::kQueued : PublishOutcome::kEnqueue;
   return 0;
 }
 
@@ -1793,8 +1799,10 @@ int SplitFs::Fsync(int fd) {
     if (staged) {
       // Relink path: no fsync barrier (Table 6). Async configuration returns once
       // the intent records are fenced; the relinks run on the publisher.
-      rc = PublishOrIntend(fs.get(), &enqueue);
-      if (rc == 0 && !enqueue) {
+      PublishOutcome outcome;
+      rc = PublishOrIntend(fs.get(), &outcome);
+      enqueue = outcome == PublishOutcome::kEnqueue;
+      if (rc == 0 && outcome == PublishOutcome::kPublished) {
         // fsync() return acks durability of all staged data published above;
         // the async path acks at the intent-log fence, not here.
         analysis::DurabilityPoint(kfs_->device(), fs->ino, "splitfs.fsync");

@@ -200,6 +200,15 @@ class SplitFs : public vfs::FileSystem {
     rename_race_hook_ = std::move(hook);
   }
 
+  // Test-only: invoked in Close right after the whole-file lock drops, before the
+  // publish is enqueued. The close-ack regression test appends from another
+  // descriptor here: nothing orders that append against the closing thread, so
+  // Close must have made any durability claim before this point. nullptr (the
+  // default) outside tests.
+  void set_close_ack_hook_for_test(std::function<void()> hook) {
+    close_ack_hook_ = std::move(hook);
+  }
+
   // Historical test-entry name for DrainQueuedPublishes().
   void DrainQueuedPublishesForTest() { DrainQueuedPublishes(); }
   const StagingPool& staging_pool() const { return *staging_; }
@@ -356,10 +365,17 @@ class SplitFs : public vfs::FileSystem {
   // fsync/close entry point; caller holds the whole-file lock exclusively. Sync
   // configuration: publishes inline. Async: commits dirty metadata (the fsync
   // contract covers it), logs + fences relink intents, and either publishes inline
-  // with the cost rewound (deterministic mode) or sets *enqueue — the caller must
-  // then call EnqueuePublish AFTER dropping the file lock: the enqueue can block on
-  // queue backpressure while the publisher blocks on this very file's lock.
-  int PublishOrIntend(FileState* fs, bool* enqueue);
+  // with the cost rewound (deterministic mode) or leaves it to the publisher. On
+  // kEnqueue the caller must call EnqueuePublish AFTER dropping the file lock: the
+  // enqueue can block on queue backpressure while the publisher blocks on this very
+  // file's lock. Only kPublished lets the caller claim durability itself; the
+  // deferred outcomes were acked at the intent-log fence.
+  enum class PublishOutcome {
+    kPublished,  // Relinked on this call: the caller's ack is a durability point.
+    kEnqueue,    // Intents fenced; the caller must enqueue the file.
+    kQueued,     // Intents fenced; an already-queued publish covers the runs.
+  };
+  int PublishOrIntend(FileState* fs, PublishOutcome* outcome);
   // Logs one kRelinkIntent per staged run (or run delta) not yet intent-covered.
   // POSIX/sync modes only — strict logged every run at write time. Caller holds the
   // whole-file lock exclusively.
@@ -521,6 +537,7 @@ class SplitFs : public vfs::FileSystem {
   std::array<obs::LatencyHistogram, kOpKindCount> op_hist_;
 
   std::function<void()> rename_race_hook_;  // Test-only; see the setter.
+  std::function<void()> close_ack_hook_;    // Test-only; see the setter.
 };
 
 }  // namespace splitfs

@@ -2,6 +2,7 @@
 // epoch-based reclamation machinery (batched retire-list sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -27,20 +28,21 @@ TEST(Bytes, AlignHelpers) {
   EXPECT_EQ(common::DivCeil(0, 4096), 0u);
 }
 
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<uint8_t> buf(n);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return buf;
+}
+
 TEST(Crc32c, KnownVector) {
   // Standard CRC32C test vector: "123456789" -> 0xE3069283.
   EXPECT_EQ(common::Crc32c("123456789", 9), 0xE3069283u);
 }
 
 TEST(Crc32c, EmptyIsZero) { EXPECT_EQ(common::Crc32c("", 0), 0u); }
-
-TEST(Crc32c, SeedChaining) {
-  const char* data = "hello world";
-  uint32_t whole = common::Crc32c(data, 11);
-  uint32_t part = common::Crc32c(data, 5);
-  part = common::Crc32c(data + 5, 6, part);
-  EXPECT_EQ(whole, part);
-}
 
 TEST(Crc32c, DetectsSingleBitFlip) {
   std::vector<uint8_t> buf(64, 0xAB);
@@ -49,13 +51,68 @@ TEST(Crc32c, DetectsSingleBitFlip) {
   EXPECT_NE(before, common::Crc32c(buf.data(), buf.size()));
 }
 
-TEST(Crc32cSkip4, IgnoresSkippedField) {
-  std::vector<uint8_t> a(64, 1), b(64, 1);
-  b[8] = 0x55;  // Inside the skipped window [8, 12).
-  b[9] = 0x66;
-  EXPECT_EQ(common::Crc32cSkip4(a.data(), 64, 8), common::Crc32cSkip4(b.data(), 64, 8));
-  b[12] = 0x77;  // Outside the window: must change the CRC.
-  EXPECT_NE(common::Crc32cSkip4(a.data(), 64, 8), common::Crc32cSkip4(b.data(), 64, 8));
+TEST(Crc32c, Rfc3720Vectors) {
+  // iSCSI CRC32C test vectors, RFC 3720 §B.4.
+  std::vector<uint8_t> buf(32, 0x00);
+  EXPECT_EQ(common::Crc32c(buf.data(), buf.size()), 0x8A9136AAu);
+  std::fill(buf.begin(), buf.end(), 0xFF);
+  EXPECT_EQ(common::Crc32c(buf.data(), buf.size()), 0x62A8AB43u);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(common::Crc32c(buf.data(), buf.size()), 0x46DD794Eu);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(31 - i);
+  }
+  EXPECT_EQ(common::Crc32c(buf.data(), buf.size()), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..1100 and around one 4 KiB block, from all 8 start alignments: every
+  // split between the 8-byte word loop and the byte tail, and every misalignment.
+  std::vector<uint8_t> buf = RandomBytes(4100 + 8, 11);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1100; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t n = 4090; n <= 4100; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n : lengths) {
+      const uint8_t* p = buf.data() + align;
+      ASSERT_EQ(common::Crc32c(p, n), common::Crc32cReference(p, n))
+          << "len " << n << " align " << align;
+      ASSERT_EQ(common::Crc32c(p, n, 0x9E3779B9u),
+                common::Crc32cReference(p, n, 0x9E3779B9u))
+          << "seeded, len " << n << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32c, MatchesReferenceOnRandomInputs) {
+  common::Rng rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    size_t n = rng.Range(0, 10000);
+    size_t align = rng.Range(0, 7);
+    uint32_t seed = static_cast<uint32_t>(rng.Next());
+    std::vector<uint8_t> buf = RandomBytes(n + align, rng.Next());
+    const uint8_t* p = buf.data() + align;
+    ASSERT_EQ(common::Crc32c(p, n, seed), common::Crc32cReference(p, n, seed))
+        << "case " << i << ": len " << n << " align " << align;
+  }
+}
+
+TEST(Crc32c, SeedChaining) {
+  // Chaining through the seed at every split point of a 300-byte buffer.
+  std::vector<uint8_t> buf = RandomBytes(300, 5);
+  const uint32_t whole = common::Crc32cReference(buf.data(), buf.size());
+  ASSERT_EQ(common::Crc32c(buf.data(), buf.size()), whole);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    uint32_t part = common::Crc32c(buf.data(), split);
+    part = common::Crc32c(buf.data() + split, buf.size() - split, part);
+    ASSERT_EQ(part, whole) << "split at " << split;
+  }
 }
 
 TEST(Rng, DeterministicPerSeed) {

@@ -12,6 +12,8 @@
 //   * disjoint-offset same-file writers and disjoint-file workers in parallel;
 //   * open race on one path (and rename racing a first open of the destination)
 //     keeps exactly one cached state;
+//   * close() of a file whose publish is already queued acks nothing an append
+//     racing it could slip into (forced through the close-ack test hook);
 //   * counter integrity (relinks, staging pool) under concurrency.
 //
 // Every suite runs twice per mode: synchronous publication and the async relink
@@ -19,6 +21,7 @@
 // scripts/check.sh exercises the intent-log/publish/fence protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -28,6 +31,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/analysis/persist_checker.h"
 #include "src/common/bytes.h"
 #include "src/core/split_fs.h"
 #include "src/ext4/fsck.h"
@@ -495,6 +499,60 @@ TEST_P(ConcurrencyTest, RenameVsFirstOpenKeepsStagedState) {
     ASSERT_EQ(fs_->Close(sfd), 0);
     ASSERT_EQ(fs_->Unlink(dst), 0);
   }
+}
+
+// --- close() of an already-queued file vs. a concurrent append ------------------------
+
+TEST(CloseAckRaceTest, QueuedCloseClaimsNoDurabilityOverConcurrentAppend) {
+  // With the async publisher, close() of a file whose publish is already queued is
+  // an async ack: the intent fence covered its runs and the queued publish relinks
+  // them. Close used to treat that case as a synchronous publish and claim
+  // durability after dropping the whole-file lock, so an append landing in between
+  // — streamed with non-temporal stores, not yet fenced — was acked as durable
+  // (PersistChecker acked_but_volatile at splitfs.close). The hook runs the append
+  // in exactly that window; no lock is held there, so it stands in for a concurrent
+  // appender. The replenisher stays inline and the publisher stays parked, so no
+  // background fence can make the append durable by luck.
+  analysis::PersistChecker checker(analysis::PersistChecker::Mode::kCollect);
+  sim::Context ctx;
+  pmem::Device dev(&ctx, 2 * common::kGiB);
+  dev.SetPersistChecker(&checker);
+  ext4sim::Ext4Dax kfs(&dev);
+  Options opts = ConcurrentOptions(Mode::kPosix, /*async_publish=*/true);
+  opts.replenish_thread = false;
+  SplitFs fs(&kfs, opts);
+
+  fs.set_publisher_paused_for_test(true);
+  int fd = fs.Open("/closeack", vfs::kRdWr | vfs::kCreate | vfs::kAppend);
+  int afd = fs.Open("/closeack", vfs::kRdWr | vfs::kAppend);
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(afd, 0);
+  std::vector<uint8_t> first(kBlockSize, 0x3C);
+  std::vector<uint8_t> second(kBlockSize, 0xC3);
+  ASSERT_EQ(fs.Write(fd, first.data(), kBlockSize), static_cast<ssize_t>(kBlockSize));
+  ASSERT_EQ(fs.Fsync(fd), 0);  // Intents fenced; the publish is queued and parked.
+
+  bool appended = false;
+  fs.set_close_ack_hook_for_test([&] {
+    appended = fs.Write(afd, second.data(), kBlockSize) == static_cast<ssize_t>(kBlockSize);
+  });
+  ASSERT_EQ(fs.Close(fd), 0);
+  fs.set_close_ack_hook_for_test(nullptr);
+  ASSERT_TRUE(appended);
+  for (const auto& v : checker.violations()) {
+    ADD_FAILURE() << v.rule << " at " << v.site << ": " << v.detail;
+  }
+
+  // The append's own fsync is its durability point; both records then publish.
+  fs.set_publisher_paused_for_test(false);
+  ASSERT_EQ(fs.Fsync(afd), 0);
+  fs.WaitForPublishes();
+  std::vector<uint8_t> back(2 * kBlockSize);
+  ASSERT_EQ(fs.Pread(afd, back.data(), back.size(), 0), static_cast<ssize_t>(back.size()));
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), back.begin()));
+  EXPECT_TRUE(std::equal(second.begin(), second.end(), back.begin() + kBlockSize));
+  ASSERT_EQ(fs.Close(afd), 0);
+  EXPECT_EQ(checker.violation_count(), 0u);
 }
 
 // --- fd table stress ------------------------------------------------------------------

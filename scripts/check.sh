@@ -26,7 +26,8 @@
 # silently bit-rot against API changes. It finishes with the fsync-storm bench
 # smoke: bench_scalability --trace (commit-coalescing + trace-reconciliation
 # self-check), --schema-check (BENCH_scalability.json schema), and --repeat-check
-# (determinism gates: posix append + the shared-hot-file range-lock cells).
+# (determinism gates: posix append + the shared-hot-file range-lock cells), and
+# bench_host_micro --scaling-check (MmapCache update cost flat in cached files).
 # Last, `bench_splitfs/run.py --check` self-tests the repository benchmark
 # against BENCHMARK.json.
 #
@@ -102,6 +103,10 @@ trap 'rm -f "$storm_trace"' EXIT
 # schema_version-2 shape (per-tenant latency percentiles, contention ledger,
 # qos_on/qos_off degradation factors).
 ./build/bench_multitenant --schema-check
+# Host-time scaling gate: an MmapCache update (relink + unlink of one file) must
+# not grow with the number of cached files — the 4096-file row stays within 4x
+# of the 16-file row. A ratio of two rows of one run, so host load cancels out.
+./build/bench_host_micro --scaling-check
 # Repository benchmark self-test: builds bench_splitfs (into .bench_build/) and
 # checks that every workload and metric BENCHMARK.json names is produced.
 python3 bench_splitfs/run.py --check

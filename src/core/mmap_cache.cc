@@ -8,29 +8,41 @@ namespace splitfs {
 
 using common::kHugePageSize;
 
+// Orders a shard table's (ino, snapshot) entries against an ino.
+constexpr auto kByIno = [](const auto& entry, vfs::Ino ino) { return entry.first < ino; };
+
 MmapCache::MmapCache(ext4sim::Ext4Dax* kfs, uint64_t mmap_size)
-    : kfs_(kfs), ctx_(kfs->context()), mmap_size_(mmap_size), table_(new Table()) {
+    : kfs_(kfs), ctx_(kfs->context()), mmap_size_(mmap_size) {
   SPLITFS_CHECK(mmap_size >= 2 * common::kMiB);
+  for (auto& shard : shards_) {
+    shard.store(new Table(), std::memory_order_relaxed);
+  }
 }
 
 MmapCache::~MmapCache() {
   // No caller may be mid-Translate once the owner destroys the cache; free the live
-  // snapshot directly and let the retire lists delete whatever is still pending.
-  const Table* t = table_.load(std::memory_order_relaxed);
-  for (const auto& [ino, snap] : t->files) {
-    delete snap;
+  // snapshots directly and let the retire lists delete whatever is still pending.
+  for (auto& shard : shards_) {
+    const Table* t = shard.load(std::memory_order_relaxed);
+    for (const auto& [ino, snap] : t->files) {
+      delete snap;
+    }
+    delete t;
   }
-  delete t;
+}
+
+const MmapCache::FileSnapshot* MmapCache::Table::Find(vfs::Ino ino) const {
+  auto it = std::lower_bound(files.begin(), files.end(), ino, kByIno);
+  return it != files.end() && it->first == ino ? it->second : nullptr;
 }
 
 std::optional<MmapCache::Hit> MmapCache::Translate(vfs::Ino ino, uint64_t off) const {
   common::EpochGc::ReadGuard pin(&common::EpochGc::Global());
-  const Table* t = CurrentTable();
-  auto fit = t->files.find(ino);
-  if (fit == t->files.end()) {
+  const FileSnapshot* snap = CurrentTable(ino)->Find(ino);
+  if (snap == nullptr) {
     return std::nullopt;
   }
-  const auto& pieces = fit->second->pieces;
+  const auto& pieces = snap->pieces;
   // First piece with file_off > off, then step back — the snapshot analog of the old
   // std::map::upper_bound walk.
   auto it = std::upper_bound(
@@ -106,6 +118,31 @@ void MmapCache::InsertPiece(FileBuilder* fb, uint64_t file_off, uint64_t dev_off
   }
 }
 
+void MmapCache::EraseRange(FileBuilder* fb, uint64_t off, uint64_t len) {
+  auto& pieces = fb->pieces;
+  uint64_t end = off + len;
+  auto it = pieces.upper_bound(off);
+  if (it != pieces.begin()) {
+    --it;
+  }
+  while (it != pieces.end() && it->first < end) {
+    uint64_t p_start = it->first;
+    Piece p = it->second;
+    uint64_t p_end = p_start + p.len;
+    if (p_end <= off) {
+      ++it;
+      continue;
+    }
+    it = pieces.erase(it);
+    if (p_start < off) {  // Keep the left part.
+      pieces[p_start] = Piece{p.dev_off, off - p_start};
+    }
+    if (p_end > end) {  // Keep the right part.
+      pieces[end] = Piece{p.dev_off + (end - p_start), p_end - end};
+    }
+  }
+}
+
 MmapCache::FileBuilder MmapCache::BuilderFrom(const FileSnapshot& snap) {
   FileBuilder fb;
   fb.pieces.insert(snap.pieces.begin(), snap.pieces.end());
@@ -114,34 +151,40 @@ MmapCache::FileBuilder MmapCache::BuilderFrom(const FileSnapshot& snap) {
   return fb;
 }
 
-const MmapCache::FileSnapshot* MmapCache::SealAndPublish(vfs::Ino ino,
-                                                         FileBuilder&& fb) {
+MmapCache::FileBuilder MmapCache::BuilderFor(vfs::Ino ino) const {
+  const FileSnapshot* snap = CurrentTable(ino)->Find(ino);
+  return snap != nullptr ? BuilderFrom(*snap) : FileBuilder{};
+}
+
+void MmapCache::SealAndPublish(vfs::Ino ino, FileBuilder&& fb) {
   auto* snap = new FileSnapshot();
   snap->pieces.assign(fb.pieces.begin(), fb.pieces.end());
   snap->regions = std::move(fb.regions);
   snap->mmap_count = fb.mmap_count;
-  const Table* old = CurrentTable();
-  auto* next = new Table(*old);
+  std::atomic<const Table*>& shard = ShardOf(ino);
+  const Table* old = shard.load(std::memory_order_relaxed);
+  auto* next = new Table();
+  next->files.reserve(old->files.size() + 1);
+  next->files = old->files;
+  auto it = std::lower_bound(next->files.begin(), next->files.end(), ino, kByIno);
   const FileSnapshot* replaced = nullptr;
-  auto it = next->files.find(ino);
-  if (it != next->files.end()) {
+  if (it != next->files.end() && it->first == ino) {
     replaced = it->second;
     it->second = snap;
   } else {
-    next->files[ino] = snap;
+    next->files.insert(it, {ino, snap});
   }
   // Swap first: an object may only be retired once it is unreachable from the live
   // table, or a reader pinning between the retire and the swap could still walk it
   // while the GC already considers it quiesced.
-  PublishTable(next);
+  PublishTable(&shard, next);
   if (replaced != nullptr) {
     retired_files_.Retire(replaced);
   }
-  return snap;
 }
 
-void MmapCache::PublishTable(const Table* next) {
-  const Table* old = table_.exchange(next, std::memory_order_seq_cst);
+void MmapCache::PublishTable(std::atomic<const Table*>* shard, const Table* next) {
+  const Table* old = shard->exchange(next, std::memory_order_seq_cst);
   retired_tables_.Retire(old);
 }
 
@@ -149,11 +192,9 @@ bool MmapCache::EnsureRegion(vfs::Ino ino, int kernel_fd, uint64_t off) {
   uint64_t region_start = common::AlignDown(off, mmap_size_);
   {
     common::EpochGc::ReadGuard pin(&common::EpochGc::Global());
-    const Table* t = CurrentTable();
-    auto fit = t->files.find(ino);
-    if (fit != t->files.end() &&
-        std::binary_search(fit->second->regions.begin(), fit->second->regions.end(),
-                           region_start)) {
+    const FileSnapshot* snap = CurrentTable(ino)->Find(ino);
+    if (snap != nullptr &&
+        std::binary_search(snap->regions.begin(), snap->regions.end(), region_start)) {
       return true;  // Region already set up (holes included by design).
     }
   }
@@ -166,10 +207,7 @@ bool MmapCache::EnsureRegion(vfs::Ino ino, int kernel_fd, uint64_t off) {
     return false;
   }
   std::lock_guard<std::mutex> lock(update_mu_);
-  const Table* t = CurrentTable();
-  auto fit = t->files.find(ino);
-  FileBuilder fb =
-      fit != t->files.end() ? BuilderFrom(*fit->second) : FileBuilder{};
+  FileBuilder fb = BuilderFor(ino);
   if (std::binary_search(fb.regions.begin(), fb.regions.end(), region_start)) {
     return true;  // A racing thread mapped the same region; keep its pieces.
   }
@@ -194,10 +232,7 @@ bool MmapCache::EnsureRegion(vfs::Ino ino, int kernel_fd, uint64_t off) {
 void MmapCache::InsertPieces(vfs::Ino ino,
                              const std::vector<ext4sim::Ext4Dax::DaxMapping>& pieces) {
   std::lock_guard<std::mutex> lock(update_mu_);
-  const Table* t = CurrentTable();
-  auto fit = t->files.find(ino);
-  FileBuilder fb =
-      fit != t->files.end() ? BuilderFrom(*fit->second) : FileBuilder{};
+  FileBuilder fb = BuilderFor(ino);
   for (const auto& m : pieces) {
     ctx_->ChargeCpu(ctx_->model.user_work_ns);
     InsertPiece(&fb, m.file_off, m.dev_off, m.len);
@@ -205,81 +240,76 @@ void MmapCache::InsertPieces(vfs::Ino ino,
   SealAndPublish(ino, std::move(fb));
 }
 
+void MmapCache::ReplaceRange(vfs::Ino ino, uint64_t off, uint64_t dev_off,
+                             uint64_t len) {
+  std::lock_guard<std::mutex> lock(update_mu_);
+  FileBuilder fb = BuilderFor(ino);
+  EraseRange(&fb, off, len);
+  ctx_->ChargeCpu(ctx_->model.user_work_ns);  // InsertPieces' charge for one piece.
+  InsertPiece(&fb, off, dev_off, len);
+  SealAndPublish(ino, std::move(fb));
+}
+
 void MmapCache::InvalidateFile(vfs::Ino ino) {
   std::lock_guard<std::mutex> lock(update_mu_);
-  const Table* t = CurrentTable();
-  auto fit = t->files.find(ino);
-  if (fit == t->files.end()) {
+  std::atomic<const Table*>& shard = ShardOf(ino);
+  const Table* t = shard.load(std::memory_order_relaxed);
+  const FileSnapshot* snap = t->Find(ino);
+  if (snap == nullptr) {
     return;
   }
   // munmap + TLB shootdown per region created by mmap (§3.5: this is why unlink is
   // SplitFS's most expensive call).
-  const FileSnapshot* snap = fit->second;
   for (uint64_t i = 0; i < std::max<uint64_t>(snap->mmap_count, 1); ++i) {
     ctx_->ChargeCpu(ctx_->model.munmap_ns);
   }
   total_regions_.fetch_sub(snap->mmap_count, std::memory_order_relaxed);
   auto* next = new Table(*t);
-  next->files.erase(ino);
-  PublishTable(next);  // Unreachable-before-retire, as in SealAndPublish.
+  next->files.erase(std::lower_bound(next->files.begin(), next->files.end(), ino, kByIno));
+  PublishTable(&shard, next);  // Unreachable-before-retire, as in SealAndPublish.
   retired_files_.Retire(snap);
 }
 
 void MmapCache::InvalidateRange(vfs::Ino ino, uint64_t off, uint64_t len) {
   std::lock_guard<std::mutex> lock(update_mu_);
-  const Table* t = CurrentTable();
-  auto fit = t->files.find(ino);
-  if (fit == t->files.end() || len == 0) {
+  const FileSnapshot* snap = CurrentTable(ino)->Find(ino);
+  if (snap == nullptr || len == 0) {
     return;
   }
-  FileBuilder fb = BuilderFrom(*fit->second);
-  auto& pieces = fb.pieces;
-  uint64_t end = off + len;
-  auto it = pieces.upper_bound(off);
-  if (it != pieces.begin()) {
-    --it;
-  }
-  while (it != pieces.end() && it->first < end) {
-    uint64_t p_start = it->first;
-    Piece p = it->second;
-    uint64_t p_end = p_start + p.len;
-    if (p_end <= off) {
-      ++it;
-      continue;
-    }
-    it = pieces.erase(it);
-    if (p_start < off) {  // Keep the left part.
-      pieces[p_start] = Piece{p.dev_off, off - p_start};
-    }
-    if (p_end > end) {  // Keep the right part.
-      pieces[end] = Piece{p.dev_off + (end - p_start), p_end - end};
-    }
-  }
+  FileBuilder fb = BuilderFrom(*snap);
+  EraseRange(&fb, off, len);
   SealAndPublish(ino, std::move(fb));
 }
 
 void MmapCache::Clear() {
   std::lock_guard<std::mutex> lock(update_mu_);
-  const Table* t = CurrentTable();
-  std::vector<const FileSnapshot*> snaps;  // PublishTable may free `t` itself.
-  snaps.reserve(t->files.size());
-  for (const auto& [ino, snap] : t->files) {
-    snaps.push_back(snap);
-  }
-  PublishTable(new Table());  // Unreachable-before-retire, as in SealAndPublish.
-  for (const FileSnapshot* snap : snaps) {
-    retired_files_.Retire(snap);
+  for (auto& shard : shards_) {
+    const Table* t = shard.load(std::memory_order_relaxed);
+    if (t->files.empty()) {
+      continue;
+    }
+    std::vector<const FileSnapshot*> snaps;  // PublishTable may free `t` itself.
+    snaps.reserve(t->files.size());
+    for (const auto& [ino, snap] : t->files) {
+      snaps.push_back(snap);
+    }
+    PublishTable(&shard, new Table());  // Unreachable-before-retire.
+    for (const FileSnapshot* snap : snaps) {
+      retired_files_.Retire(snap);
+    }
   }
   total_regions_.store(0, std::memory_order_relaxed);
 }
 
 uint64_t MmapCache::MemoryUsageBytes() const {
   common::EpochGc::ReadGuard pin(&common::EpochGc::Global());
-  const Table* t = CurrentTable();
   uint64_t total = sizeof(*this);
-  for (const auto& [ino, snap] : t->files) {
-    total += sizeof(*snap) + snap->pieces.size() * (sizeof(uint64_t) + sizeof(Piece) + 48) +
-             snap->regions.size() * (sizeof(uint64_t) + 48);
+  for (const auto& shard : shards_) {
+    for (const auto& [ino, snap] : shard.load(std::memory_order_acquire)->files) {
+      total += sizeof(*snap) +
+               snap->pieces.size() * (sizeof(uint64_t) + sizeof(Piece) + 48) +
+               snap->regions.size() * (sizeof(uint64_t) + 48);
+    }
   }
   return total;
 }

@@ -13,24 +13,26 @@
 //    re-registered under the target inode with zero mmap/fault cost.
 //
 // Concurrency: the cache is on every user-space read and overwrite, so Translate is
-// lock-free. The whole translation state is an immutable snapshot — a table of
-// per-file piece/region vectors — published through one atomic pointer. Readers pin
-// an epoch (common/epoch.h), load the snapshot, and binary-search it; they never
-// write a shared cache line. Updates (region creation, relink piece insertion,
-// invalidation) serialize on a small update mutex, build the next snapshot aside,
-// swap the pointer, and retire the old snapshot to the epoch garbage collector,
-// which frees it at reader quiescence. Virtual-time charges are unchanged from the
-// mutex-based cache (snapshot building is DRAM-only work), so single-threaded
-// timelines are bit-identical.
+// lock-free. The translation state is split into kShards immutable snapshot tables,
+// one per `ino % kShards`, each published through its own atomic pointer; a table
+// holds the per-file piece/region vectors of its shard's files. Readers pin an epoch
+// (common/epoch.h), load their file's shard, and binary-search it; they never write a
+// shared cache line. Updates (region creation, relink piece replacement,
+// invalidation) serialize on one small update mutex, build the next file snapshot and
+// the next table of that one shard aside, swap the shard pointer, and retire the old
+// objects to the epoch garbage collector, which frees them at reader quiescence. An
+// update therefore costs O(the changed file + its shard), not O(every cached file).
+// Virtual-time charges are unchanged from the mutex-based cache (snapshot building
+// is DRAM-only work), so single-threaded timelines are bit-identical.
 #ifndef SRC_CORE_MMAP_CACHE_H_
 #define SRC_CORE_MMAP_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/epoch.h"
@@ -41,6 +43,9 @@ namespace splitfs {
 
 class MmapCache {
  public:
+  // Snapshot tables, one per `ino % kShards`; an update copies only its shard's.
+  static constexpr size_t kShards = 64;
+
   explicit MmapCache(ext4sim::Ext4Dax* kfs, uint64_t mmap_size);
   ~MmapCache();
 
@@ -63,6 +68,11 @@ class MmapCache {
   // physical blocks and their mappings are retained) and by the staging pool (staging
   // files are mapped once at pre-allocation time). Overlapping subranges are skipped.
   void InsertPieces(vfs::Ino ino, const std::vector<ext4sim::Ext4Dax::DaxMapping>& pieces);
+
+  // Relink: drops mappings overlapping [off, off+len) and registers the piece
+  // [off, off+len) -> dev_off in their place, as one published update. Charges what
+  // InsertPieces charges for a single piece (no mmap cost).
+  void ReplaceRange(vfs::Ino ino, uint64_t off, uint64_t dev_off, uint64_t len);
 
   // Drops every mapping of `ino`, charging one munmap per created region (§3.5:
   // unlink() is expensive in SplitFS precisely because of this).
@@ -93,10 +103,11 @@ class MmapCache {
     std::vector<uint64_t> regions;                   // Sorted aligned region starts.
     uint64_t mmap_count = 0;  // Regions created via mmap (munmap charge basis).
   };
+  // One shard's files, sorted by ino. Copied whole on each update of the shard.
   struct Table {
-    std::unordered_map<vfs::Ino, const FileSnapshot*> files;
+    std::vector<std::pair<vfs::Ino, const FileSnapshot*>> files;
+    const FileSnapshot* Find(vfs::Ino ino) const;
   };
-
   // Mutable build form of a FileSnapshot; the std::map preserves the insertion /
   // merge semantics of the original locked implementation exactly, so the published
   // piece structure (and therefore every downstream Translate span and media charge)
@@ -108,15 +119,21 @@ class MmapCache {
   };
   static void InsertPiece(FileBuilder* fb, uint64_t file_off, uint64_t dev_off,
                           uint64_t len);
+  // Drops [off, off+len) from the builder, keeping the parts of straddling pieces.
+  static void EraseRange(FileBuilder* fb, uint64_t off, uint64_t len);
   static FileBuilder BuilderFrom(const FileSnapshot& snap);
-  const FileSnapshot* SealAndPublish(vfs::Ino ino, FileBuilder&& fb);
-  // Loads the current table; caller must hold update_mu_ (writers) or an epoch pin
+  // The build form of `ino`'s current snapshot (empty if uncached). Caller holds
+  // update_mu_.
+  FileBuilder BuilderFor(vfs::Ino ino) const;
+  void SealAndPublish(vfs::Ino ino, FileBuilder&& fb);
+  std::atomic<const Table*>& ShardOf(vfs::Ino ino) { return shards_[ino % kShards]; }
+  // Loads `ino`'s shard table; caller must hold update_mu_ (writers) or an epoch pin
   // (readers).
-  const Table* CurrentTable() const {
-    return table_.load(std::memory_order_acquire);
+  const Table* CurrentTable(vfs::Ino ino) const {
+    return shards_[ino % kShards].load(std::memory_order_acquire);
   }
-  // Swaps in `next` and retires the previous table. Caller holds update_mu_.
-  void PublishTable(const Table* next);
+  // Swaps `next` into `shard` and retires the previous table. Caller holds update_mu_.
+  void PublishTable(std::atomic<const Table*>* shard, const Table* next);
 
   ext4sim::Ext4Dax* kfs_;
   sim::Context* ctx_;
@@ -125,7 +142,7 @@ class MmapCache {
   // Updates serialize here; Translate never touches it. Retire lists are guarded by
   // update_mu_ too (retirement only happens during updates).
   mutable std::mutex update_mu_;
-  std::atomic<const Table*> table_;
+  std::array<std::atomic<const Table*>, kShards> shards_;
   common::RetireList<Table> retired_tables_;
   common::RetireList<FileSnapshot> retired_files_;
   std::atomic<uint64_t> total_regions_{0};

@@ -1258,8 +1258,7 @@ int SplitFs::RelinkRun(FileState* fs, uint64_t file_off, const StagedRange& r) {
     // Retain the memory mapping: the physical blocks didn't move, so the staging
     // region's mapping becomes the target file's mapping at zero cost (Figure 2).
     uint64_t core_dev_off = r.alloc.dev_off + (s - file_off);
-    mmaps_.InvalidateRange(fs->ino, s, aligned_len);
-    mmaps_.InsertPieces(fs->ino, {{s, core_dev_off, aligned_len}});
+    mmaps_.ReplaceRange(fs->ino, s, core_dev_off, aligned_len);
     // The tail block moved whole: the pool must not hand out its remainder.
     if (staging_) {
       staging_->MarkRelinked(r.alloc.staging_ino, r.alloc.staging_off + r.alloc.len);

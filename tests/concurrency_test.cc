@@ -5,6 +5,7 @@
 //   * N-thread atomic appends: no lost and no torn records, POSIX and strict modes;
 //   * pread concurrent with relink publication reads consistent committed data;
 //   * lock-free Translate during relink/unlink/truncate churn (epoch snapshots);
+//   * same-shard churn: table swaps never hide or free a pinned reader's mapping;
 //   * async publisher ordering: readers see the staged or the published snapshot,
 //     never a torn window, and the completion fence drains the queue;
 //   * fd-table open/close/dup stress: descriptors never cross-talk, dup shares one
@@ -301,6 +302,67 @@ TEST_P(ConcurrencyTest, TranslateDuringRelinkUnlinkTruncateChurn) {
     r.join();
   }
   EXPECT_EQ(read_errors.load(), 0u);
+}
+
+TEST(MmapCacheShardChurn, SameShardUpdatesNeverHideStableMappings) {
+  // Every file here hashes to one shard table. Readers translate the stable files
+  // while a churner relinks into, truncates and drops the other files of that shard:
+  // each update rebuilds the table the readers are walking, swaps the shard pointer
+  // and retires the old table. Readers must always find their stable mappings, and
+  // a retired table must stay allocated while a pinned reader holds it (TSan/ASan).
+  constexpr uint64_t kShards = splitfs::MmapCache::kShards;
+  constexpr int kStable = 3;
+  constexpr int kChurned = 4;
+  constexpr uint64_t kPieces = 8;
+  sim::Context ctx;
+  pmem::Device dev(&ctx, 64 * kMiB);
+  ext4sim::Ext4Dax kfs(&dev);
+  splitfs::MmapCache cache(&kfs, 2 * kMiB);
+  auto ino_of = [](int f) { return vfs::Ino{5 + f * kShards}; };
+  // Device-discontiguous pieces, so each stays a separate snapshot entry.
+  auto stable_dev = [](int f, uint64_t p) { return (f * 64 + p * 2) * kBlockSize; };
+  for (int f = 0; f < kStable; ++f) {
+    std::vector<ext4sim::Ext4Dax::DaxMapping> pieces;
+    for (uint64_t p = 0; p < kPieces; ++p) {
+      pieces.push_back({p * kBlockSize, stable_dev(f, p), kBlockSize});
+    }
+    cache.InsertPieces(ino_of(f), pieces);
+  }
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kThreads - 1; ++r) {
+    readers.emplace_back([&, r] {
+      for (uint64_t spins = 0; !done.load(std::memory_order_acquire); ++spins) {
+        int f = static_cast<int>((spins + r) % kStable);
+        uint64_t p = (spins * 2654435761u) % kPieces;
+        auto hit = cache.Translate(ino_of(f), p * kBlockSize + 7);
+        if (!hit || hit->dev_off != stable_dev(f, p) + 7) {
+          misses.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (uint64_t i = 0; i < 3000; ++i) {
+    vfs::Ino ino = ino_of(kStable + static_cast<int>(i % kChurned));
+    cache.ReplaceRange(ino, (i % 16) * kBlockSize, (1024 + i) * kBlockSize, 2 * kBlockSize);
+    if (i % 5 == 0) {
+      cache.InvalidateRange(ino, 0, 4 * kBlockSize);
+    }
+    if (i % 7 == 0) {
+      cache.InvalidateFile(ino);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) {
+    r.join();
+  }
+  EXPECT_EQ(misses.load(), 0u);
+  for (int f = 0; f < kStable; ++f) {
+    auto hit = cache.Translate(ino_of(f), 0);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->dev_off, stable_dev(f, 0));
+  }
 }
 
 // --- Async publisher ordering ---------------------------------------------------------

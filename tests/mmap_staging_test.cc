@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/random.h"
 #include "src/core/mmap_cache.h"
 #include "src/core/split_fs.h"
 #include "src/core/staging.h"
@@ -114,6 +115,133 @@ TEST_F(MmapCacheTest, InvalidateFileChargesMunmapPerRegion) {
   cache_.InvalidateFile(ino);
   EXPECT_GE(ctx_.clock.Now() - t0, 3 * ctx_.model.munmap_ns);
   EXPECT_FALSE(cache_.Translate(ino, 0).has_value());
+}
+
+constexpr uint64_t kShards = splitfs::MmapCache::kShards;
+
+TEST_F(MmapCacheTest, ShardCollidingFilesKeepIndependentTranslations) {
+  // Three inos in one shard table: every update rebuilds that table, and must carry
+  // the other two files over untouched.
+  const vfs::Ino a = 7;
+  const vfs::Ino b = a + kShards;
+  const vfs::Ino c = a + 2 * kShards;
+  cache_.InsertPieces(a, {{0, 1 * kMiB, 2 * kBlockSize}});
+  cache_.InsertPieces(b, {{0, 3 * kMiB, 2 * kBlockSize}});
+  cache_.InsertPieces(c, {{0, 5 * kMiB, 2 * kBlockSize}});
+  auto dev_at = [this](vfs::Ino ino, uint64_t off) -> int64_t {
+    auto hit = cache_.Translate(ino, off);
+    return hit ? static_cast<int64_t>(hit->dev_off) : -1;
+  };
+  EXPECT_EQ(dev_at(a, 0), int64_t{1 * kMiB});
+  EXPECT_EQ(dev_at(b, 0), int64_t{3 * kMiB});
+  EXPECT_EQ(dev_at(c, 0), int64_t{5 * kMiB});
+
+  cache_.InvalidateRange(b, 0, kBlockSize);
+  EXPECT_EQ(dev_at(b, 0), -1);
+  EXPECT_EQ(dev_at(b, kBlockSize), int64_t{3 * kMiB + kBlockSize});
+  EXPECT_EQ(dev_at(a, 0), int64_t{1 * kMiB});
+  EXPECT_EQ(dev_at(c, 0), int64_t{5 * kMiB});
+
+  cache_.InvalidateFile(a);
+  EXPECT_EQ(dev_at(a, 0), -1);
+  EXPECT_EQ(dev_at(a, kBlockSize), -1);
+  EXPECT_EQ(dev_at(b, kBlockSize), int64_t{3 * kMiB + kBlockSize});
+  EXPECT_EQ(dev_at(c, kBlockSize), int64_t{5 * kMiB + kBlockSize});
+
+  cache_.InsertPieces(a, {{0, 7 * kMiB, kBlockSize}});
+  EXPECT_EQ(dev_at(a, 0), int64_t{7 * kMiB});
+  EXPECT_EQ(dev_at(b, 0), -1);
+  EXPECT_EQ(dev_at(c, 0), int64_t{5 * kMiB});
+}
+
+TEST_F(MmapCacheTest, ClearEmptiesEveryShard) {
+  const uint64_t empty_usage = cache_.MemoryUsageBytes();
+  int fd = MakeFile("/d", 64 * 1024);
+  vfs::Ino mapped = kfs_.InoOf(fd);
+  ASSERT_TRUE(cache_.EnsureRegion(mapped, fd, 0));
+  for (vfs::Ino ino = 1000; ino < 1000 + 2 * kShards; ++ino) {
+    cache_.InsertPieces(ino, {{0, ino * kBlockSize, kBlockSize}});
+  }
+  EXPECT_EQ(cache_.RegionCount(), 1u);
+  cache_.Clear();
+  EXPECT_EQ(cache_.RegionCount(), 0u);
+  EXPECT_FALSE(cache_.Translate(mapped, 0).has_value());
+  for (vfs::Ino ino = 1000; ino < 1000 + 2 * kShards; ++ino) {
+    EXPECT_FALSE(cache_.Translate(ino, 0).has_value()) << "ino " << ino;
+  }
+  EXPECT_EQ(cache_.MemoryUsageBytes(), empty_usage);
+}
+
+TEST_F(MmapCacheTest, MemoryUsageCountsFilesInEveryShard) {
+  const uint64_t empty_usage = cache_.MemoryUsageBytes();
+  cache_.InsertPieces(kShards, {{0, 1 * kMiB, kBlockSize}});
+  const uint64_t one_file = cache_.MemoryUsageBytes() - empty_usage;
+  ASSERT_GT(one_file, 0u);
+  for (vfs::Ino ino = kShards + 1; ino < 2 * kShards; ++ino) {
+    cache_.InsertPieces(ino, {{0, ino * kMiB, kBlockSize}});
+  }
+  EXPECT_EQ(cache_.MemoryUsageBytes() - empty_usage, kShards * one_file);
+}
+
+// One cache on a private machine, so two of them can be compared charge for charge.
+struct CacheRig {
+  CacheRig() : dev(&ctx, 64 * kMiB), kfs(&dev), cache(&kfs, 2 * kMiB) {}
+  sim::Context ctx;
+  pmem::Device dev;
+  ext4sim::Ext4Dax kfs;
+  splitfs::MmapCache cache;
+};
+
+TEST(MmapCacheReplaceRange, MatchesInvalidateThenInsert) {
+  // Relink-shaped updates (block-aligned ranges, some device-contiguous with the
+  // previous one so pieces merge), mixed with staging inserts and truncates, on a
+  // few inos that include a shard collision.
+  constexpr uint64_t kSpan = 2 * kMiB;
+  const std::vector<vfs::Ino> inos = {3, 4, 3 + kShards};
+  CacheRig fused;
+  CacheRig pair;
+  common::Rng rng(20191027);
+  uint64_t next_dev = 0;
+  for (int step = 0; step < 400; ++step) {
+    vfs::Ino ino = inos[rng.Range(0, inos.size() - 1)];
+    uint64_t off = rng.Range(0, kSpan / kBlockSize - 1) * kBlockSize;
+    uint64_t len = rng.Range(1, 16) * kBlockSize;
+    uint64_t dev_off =
+        rng.Range(0, 3) == 0 ? next_dev : rng.Range(0, 8192) * kBlockSize;
+    next_dev = dev_off + len;
+    switch (rng.Range(0, 9)) {
+      case 0:
+        fused.cache.InvalidateRange(ino, off, len);
+        pair.cache.InvalidateRange(ino, off, len);
+        break;
+      case 1:
+        fused.cache.InsertPieces(ino, {{off, dev_off, len}});
+        pair.cache.InsertPieces(ino, {{off, dev_off, len}});
+        break;
+      case 2:
+        fused.cache.InvalidateFile(ino);
+        pair.cache.InvalidateFile(ino);
+        break;
+      default:
+        fused.cache.ReplaceRange(ino, off, dev_off, len);
+        pair.cache.InvalidateRange(ino, off, len);
+        pair.cache.InsertPieces(ino, {{off, dev_off, len}});
+        break;
+    }
+    ASSERT_EQ(fused.ctx.clock.Now(), pair.ctx.clock.Now()) << "step " << step;
+    for (vfs::Ino probe : inos) {
+      for (uint64_t at = 0; at < kSpan + 16 * kBlockSize; at += kBlockSize) {
+        auto f = fused.cache.Translate(probe, at);
+        auto p = pair.cache.Translate(probe, at);
+        ASSERT_EQ(f.has_value(), p.has_value()) << "step " << step << " off " << at;
+        if (f) {
+          ASSERT_EQ(f->dev_off, p->dev_off) << "step " << step << " off " << at;
+          ASSERT_EQ(f->len, p->len) << "step " << step << " off " << at;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(fused.cache.MemoryUsageBytes(), pair.cache.MemoryUsageBytes());
 }
 
 class StagingTest : public ::testing::Test {

@@ -44,9 +44,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # create/rename/unlink/rmdir over the per-inode/dentry-shard locks), the
   # lock-free MmapCache translate-during-churn group (epoch reclamation), and the
   # *_async instantiations, which run every U-Split suite with the async relink
-  # publisher enabled (Options::async_relink + a real publisher thread) — so the
-  # intent-log/publish/fence protocol is TSan-verified on every pass. The tenant
-  # router's mount/unmount churn race suite (tenant_test) rides the same label.
+  # publisher enabled (Options::async_relink + publish passes on the instance's
+  # 1-worker ServicePool) — so the intent-log/publish/fence protocol is
+  # TSan-verified on every pass. The tenant router's mount/unmount churn race
+  # suite (tenant_test) rides the same label, and so does common_test: the
+  # ServicePool unit tests (the one background executor) and the EpochGc group.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -L concurrency "$@"
   exit 0

@@ -1,17 +1,17 @@
-// Shared bounded service-thread pool (ROADMAP item 1, multi-tenant scale-out).
+// Bounded service-thread pool: the one background executor of the stack.
 //
-// One SplitFs instance per tenant used to mean one publisher thread + one staging
-// replenisher thread per tenant, so N tenants cost O(N) service threads. A
-// ServicePool inverts that: a fixed handful of workers serve jobs that any number
-// of client instances *register* with, keyed by client so one tenant's teardown can
-// fence exactly its own work. The tenant router owns three of these (publisher,
-// staging replenisher, journal commit) and every mounted tenant shares them —
-// total service threads are O(pools), not O(tenants).
+// A fixed handful of workers serve jobs that any number of client instances
+// *register* with, keyed by client so one client's teardown can fence exactly its
+// own work (Drain). Every background service runs here: the async-relink
+// publisher's passes, the §3.5 staging replenisher's passes, and the journal
+// commit service. A single-tenant SplitFs owns a 1-worker pool per enabled
+// service; the tenant router owns three pools (publisher, staging replenisher,
+// journal commit) that every mounted tenant shares — total service threads are
+// O(pools), not O(tenants).
 //
-// Simulation note: pool workers bind no sim::Clock::Lane, exactly like the private
-// per-instance threads they replace, so their virtual-time charges land on the
-// shared timeline that lane-based measurements ignore. Swapping a private thread
-// for a pool is invisible to every foreground timeline.
+// Simulation note: pool workers bind no sim::Clock::Lane, so their virtual-time
+// charges land on the shared timeline that lane-based measurements ignore —
+// background work is invisible to every foreground timeline.
 #ifndef SRC_COMMON_SERVICE_POOL_H_
 #define SRC_COMMON_SERVICE_POOL_H_
 
@@ -56,10 +56,10 @@ class ServicePool {
   int threads() const { return static_cast<int>(workers_.size()); }
   const std::string& name() const { return name_; }
 
-  // True while the calling thread is a worker of *this* pool executing a job.
-  // Clients that must not fence on their own service pass (the publisher's
-  // checkpoint re-entry) consult this the way they used to compare thread ids
-  // against their private thread.
+  // True while the calling thread is a worker of *this* pool executing a job
+  // (false on submitters and on other pools' workers). Clients that must not
+  // fence on their own service pass — a publish pass re-entering the log-full
+  // checkpoint — consult it before waiting for their own completion fence.
   bool OnWorkerThread() const { return tls_running_in_ == this; }
 
  private:

@@ -39,17 +39,12 @@ struct Options {
   uint32_t num_staging_files = 10;
   uint64_t staging_file_bytes = 160 * common::kMiB;
 
-  // Number of per-thread staging lanes: each application thread bump-allocates from
-  // its own active staging file, so disjoint-file appends never contend on the pool.
-  // Threads hash onto lanes; a single-threaded process uses exactly one lane and
-  // allocates the same byte sequence as the pre-concurrency pool.
-  uint32_t staging_lanes = 16;
-
-  // Run the §3.5 replenishment thread for real: a dedicated std::thread pre-creates
-  // staging files off the critical path. Off by default — the crash harness and the
-  // deterministic single-threaded tests require a fully deterministic store sequence,
-  // which the (equivalent, inline, clock-rewound) fallback provides. Multithreaded
-  // benches and the concurrency tests turn it on.
+  // Run the §3.5 replenishment thread for real: replenish passes on a service pool
+  // (Services::replenisher_pool, else a 1-worker pool the staging pool owns)
+  // pre-create staging files off the critical path. Off by default — the crash
+  // harness and the deterministic single-threaded tests require a fully
+  // deterministic store sequence, which the (equivalent, inline, clock-rewound)
+  // fallback provides. Multithreaded benches and the concurrency tests turn it on.
   bool replenish_thread = false;
 
   // Operation log (strict mode): zeroed pre-allocated file; one 64 B entry per op;
@@ -64,23 +59,17 @@ struct Options {
   // from the moment the intent is fenced. Off by default: the synchronous publish
   // path stays byte-identical for the crash matrix and every deterministic test.
   bool async_relink = false;
-  // Run the publisher for real: a dedicated std::thread drains the publish queue,
-  // so the relink ioctls and their journal commit leave the application threads'
-  // critical path (their charges land on the shared timeline, off every lane).
-  // Off by default — the deferred publish then runs inline at the end of fsync with
-  // its cost rewound (sim::ScopedOffClock): equivalent accounting with a fully
-  // deterministic store sequence, which the async crash-matrix column depends on.
+  // Run the publisher for real: publish passes on a service pool
+  // (Services::publisher_pool, else a 1-worker pool the instance owns) drain the
+  // publish queue, so the relink ioctls and their journal commit leave the
+  // application threads' critical path (pool workers have no clock lane, so the
+  // charges land on the shared timeline). Each pass publishes the whole queue as it
+  // stands under ONE kernel journal commit, so a deeper backlog amortizes into
+  // fewer commits. Off by default — the deferred publish then runs inline at the
+  // end of fsync with its cost rewound (sim::ScopedOffClock): equivalent accounting
+  // with a fully deterministic store sequence, which the async crash-matrix column
+  // depends on.
   bool publisher_thread = false;
-  // How many queued files the publisher thread drains under ONE kernel journal
-  // commit per pass. 1 = one commit per file (the pre-batching behavior). Larger
-  // values amortize the commit writeout across an fsync storm's worth of files;
-  // the log-full checkpoint waits on the publisher's completion fence, so a batch
-  // in flight always finishes under its single commit before the op log resets.
-  // 0 = auto: each pass drains the whole queue as it stands — the batch sizes
-  // itself from queue depth, so a deeper backlog amortizes into fewer commits
-  // without tuning. Ignored by the inline (publisher_thread=false) publisher,
-  // which is deterministic per call by design.
-  uint32_t publish_batch = 1;
 
   // Record virtual-time spans (op entry/exit, journal seal/writeout, publisher
   // drains) into the context's tracer, and per-op latency histograms, when the
@@ -101,11 +90,12 @@ struct Options {
 
 // Shared-service wiring for multi-tenant deployments (src/tenant/). All pointers
 // are borrowed (the tenant router outlives every instance it mounts) and all
-// default to null, which means "own your services": a private publisher thread, a
-// private replenisher thread, inline journal commits — today's single-tenant
-// behavior, bit-identical. With a pool set, the instance registers work with the
-// shared pool instead of spawning a thread; with a token bucket set, foreground
-// admission to that service is paced on the caller's virtual timeline.
+// default to null, which means "own your services": a 1-worker publisher pool and
+// a 1-worker replenisher pool per instance (each only when its *_thread option is
+// on), inline journal commits — the single-tenant behavior. With a pool set, the
+// instance registers its passes with the shared pool instead of owning one; with a
+// token bucket set, foreground admission to that service is paced on the caller's
+// virtual timeline.
 struct Services {
   common::ServicePool* publisher_pool = nullptr;
   common::ServicePool* replenisher_pool = nullptr;

@@ -109,8 +109,12 @@ SplitFs::SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instanc
   SPLITFS_CHECK(fd >= 0);
   SPLITFS_CHECK_OK(kfs_->Fsync(fd));
   SPLITFS_CHECK_OK(kfs_->Close(fd));
-  if (opts_.async_relink && opts_.publisher_thread && !UsePublisherPool()) {
-    publisher_ = std::thread([this] { PublisherLoop(); });
+  if (opts_.async_relink && opts_.publisher_thread) {
+    publisher_pool_ = services_.publisher_pool;
+    if (publisher_pool_ == nullptr) {
+      owned_publisher_pool_ = std::make_unique<common::ServicePool>(tag_ + ".publisher");
+      publisher_pool_ = owned_publisher_pool_.get();
+    }
   }
   RegisterGauges();
 }
@@ -1423,7 +1427,7 @@ int SplitFs::PublishOrIntend(FileState* fs, PublishOutcome* outcome) {
     was_pending = fs->publish_pending;
     fs->publish_pending = true;
   }
-  if (!opts_.publisher_thread) {
+  if (!HasAsyncPublisher()) {
     // Deterministic inline mode: the publish really happens here — same store and
     // fence sequence every run, which the crash matrix depends on — but its cost is
     // rewound off the foreground clock, modeling the background publisher.
@@ -1521,9 +1525,8 @@ void SplitFs::EnqueuePublish(FileRef fs) {
     return;  // Shutdown race: the instance is tearing down; nothing more queues.
   }
   publish_queue_.push_back(std::move(fs));
-  publish_cv_.notify_one();
   ul.unlock();
-  SchedulePublishPass();  // Pool mode: register a drain pass for the new entry.
+  SchedulePublishPass();  // Register a drain pass for the new entry.
 }
 
 std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) {
@@ -1605,28 +1608,25 @@ std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) 
   return busy;
 }
 
-void SplitFs::PublisherLoop() {
+void SplitFs::SchedulePublishPass() {
+  if (publisher_pool_ == nullptr) {
+    return;
+  }
+  // Deduplicated against a QUEUED (not running) pass: a running pass may have
+  // emptied its view of the queue already, so a fresh enqueue needs a fresh pass.
+  publisher_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { PublishPass(); },
+                          /*dedup_queued=*/true);
+}
+
+void SplitFs::PublishPass() {
   std::unique_lock<std::mutex> ul(publish_mu_);
-  for (;;) {
-    publish_cv_.wait(ul, [this] {
-      return publisher_stop_ || (!publish_queue_.empty() && !publisher_paused_);
-    });
-    if (publish_queue_.empty()) {
-      if (publisher_stop_) {
-        return;  // Queue drained; safe to exit.
-      }
-      continue;
-    }
-    // publish_batch == 0 sizes the batch from the queue as it stands: a deep queue
-    // (burst of fsyncs) drains under one journal commit instead of one per cap.
-    const size_t batch_max = opts_.publish_batch > 0
-                                 ? opts_.publish_batch
-                                 : std::max<size_t>(size_t{1}, publish_queue_.size());
-    std::vector<FileRef> batch;
-    while (!publish_queue_.empty() && batch.size() < batch_max) {
-      batch.push_back(std::move(publish_queue_.front()));
-      publish_queue_.pop_front();
-    }
+  while (!publish_queue_.empty() && !publisher_paused_) {
+    // The batch is the queue as it stands: a deep queue (burst of fsyncs) drains
+    // under one journal commit instead of one per file. A later enqueue (or
+    // unpause) schedules the next pass.
+    std::vector<FileRef> batch(std::make_move_iterator(publish_queue_.begin()),
+                               std::make_move_iterator(publish_queue_.end()));
+    publish_queue_.clear();
     const size_t popped = batch.size();
     publishes_inflight_ += popped;
     publish_idle_cv_.notify_all();  // Backpressure keys off the queue length.
@@ -1634,9 +1634,9 @@ void SplitFs::PublisherLoop() {
     std::vector<FileRef> busy;
     {
       // Same locking as a synchronous publish: readers of each file see the staged
-      // snapshot until the swap, the published one after — never a torn window. The
-      // publisher has no clock lane, so the relink and journal-commit charges land
-      // on the shared timeline, off every application thread's critical path.
+      // snapshot until the swap, the published one after — never a torn window.
+      // Pool workers have no clock lane, so the relink and journal-commit charges
+      // land on the shared timeline, off every application thread's critical path.
       obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
                            "publisher", "publisher.drain", "files", popped);
       busy = PublishBatch(std::move(batch));
@@ -1653,60 +1653,9 @@ void SplitFs::PublisherLoop() {
     if (!busy.empty() && busy.size() == popped && !publisher_stop_) {
       // Every file was lock-contended; the holders are mid-operation. Back off a
       // beat of real time instead of spinning on their locks.
-      publish_cv_.wait_for(ul, std::chrono::microseconds(100));
-    }
-  }
-}
-
-void SplitFs::SchedulePublishPass() {
-  if (!UsePublisherPool()) {
-    return;
-  }
-  // Deduplicated against a QUEUED (not running) pass: a running pass may have
-  // emptied its view of the queue already, so a fresh enqueue needs a fresh pass.
-  services_.publisher_pool->Submit(reinterpret_cast<uint64_t>(this),
-                                   [this] { PublishPassOnPool(); },
-                                   /*dedup_queued=*/true);
-}
-
-void SplitFs::PublishPassOnPool() {
-  std::unique_lock<std::mutex> ul(publish_mu_);
-  for (;;) {
-    if (publish_queue_.empty() || publisher_paused_) {
-      return;  // A later enqueue (or unpause) schedules the next pass.
-    }
-    const size_t batch_max = opts_.publish_batch > 0
-                                 ? opts_.publish_batch
-                                 : std::max<size_t>(size_t{1}, publish_queue_.size());
-    std::vector<FileRef> batch;
-    while (!publish_queue_.empty() && batch.size() < batch_max) {
-      batch.push_back(std::move(publish_queue_.front()));
-      publish_queue_.pop_front();
-    }
-    const size_t popped = batch.size();
-    publishes_inflight_ += popped;
-    publish_idle_cv_.notify_all();  // Backpressure keys off the queue length.
-    ul.unlock();
-    std::vector<FileRef> busy;
-    {
-      // Pool workers carry no clock lane, exactly like the private publisher
-      // thread: relink and commit charges land on the shared timeline, off every
-      // application thread's critical path.
-      obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
-                           "publisher", "publisher.drain", "files", popped);
-      busy = PublishBatch(std::move(batch));
-    }
-    ul.lock();
-    // Requeue + inflight drop in ONE critical section (see PublisherLoop).
-    for (FileRef& fs : busy) {
-      publish_queue_.push_back(std::move(fs));
-    }
-    publishes_inflight_ -= popped;
-    publish_idle_cv_.notify_all();
-    if (!busy.empty() && busy.size() == popped && !publisher_stop_) {
-      // Every file was lock-contended; back off a beat of real time on the shared
-      // worker rather than spinning on the holders' locks.
-      publish_cv_.wait_for(ul, std::chrono::microseconds(100));
+      ul.unlock();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      ul.lock();
     }
   }
 }
@@ -1727,37 +1676,27 @@ void SplitFs::DrainQueuedPublishes() {
 }
 
 void SplitFs::StopPublisher() {
-  if (publisher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lg(publish_mu_);
-      publisher_stop_ = true;
-    }
-    publish_cv_.notify_all();
-    publish_idle_cv_.notify_all();
-    publisher_.join();
+  if (publisher_pool_ == nullptr) {
     return;
   }
-  if (UsePublisherPool()) {
-    {
-      std::lock_guard<std::mutex> lg(publish_mu_);
-      publisher_stop_ = true;       // Unblocks backpressure waiters; stops enqueues.
-      publisher_paused_ = false;    // Teardown overrides a test pause.
-    }
-    publish_cv_.notify_all();
-    publish_idle_cv_.notify_all();
-    // Fence the shared pool: after Drain no pass of ours is queued or running.
-    services_.publisher_pool->Drain(reinterpret_cast<uint64_t>(this));
-    // Anything still queued (e.g. enqueued while a pass was paused) publishes on
-    // this thread — staged data promised by fsync must reach K-Split.
-    DrainQueuedPublishes();
+  {
+    std::lock_guard<std::mutex> lg(publish_mu_);
+    publisher_stop_ = true;     // Unblocks backpressure waiters; stops enqueues.
+    publisher_paused_ = false;  // Teardown overrides a test pause.
   }
+  publish_idle_cv_.notify_all();
+  // Fence the pool: after Drain no pass of ours is queued or running.
+  publisher_pool_->Drain(reinterpret_cast<uint64_t>(this));
+  // Anything still queued (e.g. enqueued while a pass was paused) publishes on
+  // this thread — staged data promised by fsync must reach K-Split.
+  DrainQueuedPublishes();
 }
 
 void SplitFs::WaitForPublishes() {
   if (!HasAsyncPublisher()) {
     return;
   }
-  SchedulePublishPass();  // Pool mode: make sure a pass is armed for queued work.
+  SchedulePublishPass();  // Make sure a pass is armed for queued work.
   std::unique_lock<std::mutex> ul(publish_mu_);
   publish_idle_cv_.wait(ul, [this] {
     return publish_queue_.empty() && publishes_inflight_ == 0;
@@ -2028,20 +1967,14 @@ void SplitFs::CheckpointForFull(FileState* held) {
     // append against the still-full log would recurse back into this checkpoint.
     SPLITFS_CHECK_OK(PublishStaged(held, /*log_done=*/false));
   }
-  bool fence = false;
-  if (publisher_.joinable()) {
-    fence = std::this_thread::get_id() != publisher_.get_id();
-  } else if (UsePublisherPool()) {
-    fence = !services_.publisher_pool->OnWorkerThread();
-  }
-  if (fence) {
+  if (HasAsyncPublisher() && !publisher_pool_->OnWorkerThread()) {
     // Completion fence: queued/batched publishes finish under their single journal
     // commit before the log resets — the try-lock sweep below cannot see a batch
-    // that is mid-commit on the publisher (thread or pool pass), and must not reset
-    // the log out from under its still-unsealed intents. Publishing `held` first
-    // keeps this deadlock-free: any lock holder blocked here has already emptied
-    // its own staged set, so the publisher drops (never requeues) its queue entry.
-    // The publisher itself skips the fence — it cannot wait for its own drain.
+    // that is mid-commit on a publish pass, and must not reset the log out from
+    // under its still-unsealed intents. Publishing `held` first keeps this
+    // deadlock-free: any lock holder blocked here has already emptied its own
+    // staged set, so the publisher drops (never requeues) its queue entry. A
+    // publish pass itself skips the fence — it cannot wait for its own drain.
     WaitForPublishes();
   }
   std::lock_guard<std::mutex> cl(checkpoint_mu_);

@@ -69,7 +69,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -99,10 +98,10 @@ class SplitFs : public vfs::FileSystem {
  public:
   // `instance_tag` names this U-Split instance's runtime files (staging, op log).
   // `services` (optional) wires the instance into a multi-tenant deployment
-  // (src/tenant/): shared publisher/replenisher pools replace the private service
-  // threads, and token buckets pace this tenant's staging-file and journal-commit
-  // consumption. The defaults (all null) keep the single-tenant private-thread /
-  // inline behavior bit-identical.
+  // (src/tenant/): publish and replenish passes run on the shared pools instead of
+  // a 1-worker pool of the instance's own, and token buckets pace this tenant's
+  // staging-file and journal-commit consumption. The defaults (all null) keep the
+  // single-tenant behavior bit-identical.
   SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instance_tag = "u0",
           const Services& services = {});
   ~SplitFs() override;
@@ -155,19 +154,16 @@ class SplitFs : public vfs::FileSystem {
   }
   // Completion fence of the async publisher: returns once every queued publish has
   // finished. No-op when the publisher thread is off (inline mode publishes before
-  // fsync/close return). In shared-pool mode it first re-arms a publish pass, so a
-  // queued file whose pass raced a pause/unpause is never waited on forever.
+  // fsync/close return). It first re-arms a publish pass, so a queued file whose
+  // pass raced a pause/unpause is never waited on forever.
   void WaitForPublishes();
   // Files queued for async publication right now (router QoS gauge).
   size_t PublishQueueDepth() const {
     std::lock_guard<std::mutex> lg(publish_mu_);
     return publish_queue_.size();
   }
-  // True when publishes run asynchronously — on the private publisher thread or on
-  // the shared publisher pool.
-  bool HasAsyncPublisher() const {
-    return publisher_.joinable() || UsePublisherPool();
-  }
+  // True when publishes run asynchronously, as passes on a publisher pool.
+  bool HasAsyncPublisher() const { return publisher_pool_ != nullptr; }
   // Pops everything currently queued and publishes it on the calling thread. Tenant
   // unmount drains through here (after stopping new enqueues) so queued publishes —
   // data the tenant's fsyncs already acknowledged — are on K-Split before the
@@ -175,7 +171,7 @@ class SplitFs : public vfs::FileSystem {
   // deterministically with the publisher paused.
   void DrainQueuedPublishes();
 
-  // Test-only: parks the publisher (thread or pool pass) before it pops the next
+  // Test-only: parks the publisher (its pool passes) before it pops the next
   // queue entry, so a crash test can build the acknowledged-but-unpublished state
   // (intents fenced, relinks pending) deterministically and drive recovery through
   // intent replay. StopPublisher overrides the pause so teardown never hangs.
@@ -184,9 +180,8 @@ class SplitFs : public vfs::FileSystem {
       std::lock_guard<std::mutex> lg(publish_mu_);
       publisher_paused_ = paused;
     }
-    publish_cv_.notify_all();
     if (!paused) {
-      SchedulePublishPass();  // Pool mode: re-arm a pass for anything queued.
+      SchedulePublishPass();  // Re-arm a pass for anything queued.
     }
   }
 
@@ -209,8 +204,6 @@ class SplitFs : public vfs::FileSystem {
     close_ack_hook_ = std::move(hook);
   }
 
-  // Historical test-entry name for DrainQueuedPublishes().
-  void DrainQueuedPublishesForTest() { DrainQueuedPublishes(); }
   const StagingPool& staging_pool() const { return *staging_; }
   ext4sim::Ext4Dax* kernel_fs() const { return kfs_; }
 
@@ -381,8 +374,7 @@ class SplitFs : public vfs::FileSystem {
   // whole-file lock exclusively.
   int LogRelinkIntents(FileState* fs);
   void EnqueuePublish(FileRef fs);
-  void PublisherLoop();
-  // Publishes up to Options::publish_batch queued files under ONE journal commit:
+  // Publishes `batch` under ONE journal commit:
   // per-file relink loops run with defer_commit, then a single CommitJournal seals
   // every file's relinks, then all dirty counts drop before any kRelinkDone append
   // (a done append can recurse into the log-full checkpoint, which spins for a zero
@@ -391,19 +383,15 @@ class SplitFs : public vfs::FileSystem {
   // empty (the lock holder published them) — then the stale pending flag is cleared
   // and they are dropped.
   std::vector<FileRef> PublishBatch(std::vector<FileRef> batch);
+  // Teardown: stops enqueues, fences this instance's passes out of the publisher
+  // pool, then publishes whatever is still queued on the calling thread.
   void StopPublisher();
-  // True when async publishes run as registered passes on the shared publisher pool
-  // instead of a private thread.
-  bool UsePublisherPool() const {
-    return opts_.async_relink && opts_.publisher_thread &&
-           services_.publisher_pool != nullptr;
-  }
-  // Pool mode: registers a queue-deduplicated publish pass with the shared pool.
-  // No-op in thread/inline modes.
+  // Registers a queue-deduplicated publish pass with the publisher pool. No-op
+  // when publishes run inline.
   void SchedulePublishPass();
-  // One shared-pool pass: drains the publish queue batch by batch, mirroring one
-  // PublisherLoop iteration per batch. Runs on a pool worker thread.
-  void PublishPassOnPool();
+  // One pool pass: publishes the whole queue as it stands under one journal
+  // commit, repeating until the queue is empty (or the test pause is set).
+  void PublishPass();
   int RelinkRun(FileState* fs, uint64_t file_off, const StagedRange& r);
   int CopyStagedRun(FileState* fs, const StagedRange& r);
 
@@ -514,15 +502,18 @@ class SplitFs : public vfs::FileSystem {
   sim::ResourceStamp strict_epoch_stamp_;
 
   // --- Async publisher (Options::async_relink + publisher_thread) -------------------
+  // The executor of publish passes: Services::publisher_pool when one is wired in,
+  // otherwise owned_publisher_pool_ (one worker). Null when publishes run inline.
+  // StopPublisher drains this instance's key before the owned pool is destroyed.
+  common::ServicePool* publisher_pool_ = nullptr;
+  std::unique_ptr<common::ServicePool> owned_publisher_pool_;
   // Queue of files with intent-logged staged data awaiting publication. Bounded:
   // fsync blocks (real time only — the virtual cost of a publish never lands on a
   // lane) when the publisher falls behind, so staged allocations cannot exhaust the
   // staging pool. The queue holds FileRefs: a file torn down by unlink/rename while
   // queued stays alive until the publisher sees it is defunct and skips it.
   static constexpr size_t kMaxQueuedPublishes = 8;
-  std::thread publisher_;
   mutable std::mutex publish_mu_;
-  std::condition_variable publish_cv_;       // Publisher wakeup.
   std::condition_variable publish_idle_cv_;  // Backpressure + completion fence.
   std::deque<FileRef> publish_queue_;
   size_t publishes_inflight_ = 0;  // Guarded by publish_mu_.

@@ -20,8 +20,8 @@ StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options&
   // reuse is safe.
   int mkdir_rc = kfs_->Mkdir(dir_);
   SPLITFS_CHECK(mkdir_rc == 0 || mkdir_rc == -EEXIST);
-  lanes_.reserve(std::max<uint32_t>(opts_.staging_lanes, 1));
-  for (uint32_t i = 0; i < std::max<uint32_t>(opts_.staging_lanes, 1); ++i) {
+  lanes_.reserve(kLanes);
+  for (size_t i = 0; i < kLanes; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
   }
   {
@@ -30,29 +30,26 @@ StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options&
       SPLITFS_CHECK(CreateStageFileLocked(CreateMode::kForeground));
     }
   }
-  // Shared-pool replenishment substitutes for the private thread; with neither,
-  // the deterministic inline fallback stands in.
-  if (opts_.replenish_thread && !UseReplenishPool()) {
-    replenisher_ = std::thread([this] { ReplenishLoop(); });
+  // Without replenish_thread the deterministic inline fallback stands in.
+  if (opts_.replenish_thread) {
+    replenisher_pool_ = services_.replenisher_pool;
+    if (replenisher_pool_ == nullptr) {
+      owned_replenisher_pool_ =
+          std::make_unique<common::ServicePool>(instance_tag + ".replenisher");
+      replenisher_pool_ = owned_replenisher_pool_.get();
+    }
   }
 }
 
 StagingPool::~StagingPool() {
-  if (replenisher_.joinable()) {
+  if (replenisher_pool_ != nullptr) {
     {
       std::lock_guard<std::mutex> pl(pool_mu_);
       stop_ = true;
     }
-    replenish_cv_.notify_all();
-    replenisher_.join();
-  } else if (UseReplenishPool()) {
-    {
-      std::lock_guard<std::mutex> pl(pool_mu_);
-      stop_ = true;
-    }
-    // Fence our replenish jobs out of the shared pool before tearing down the
-    // queues they push into.
-    services_.replenisher_pool->Drain(reinterpret_cast<uint64_t>(this));
+    // Fence our replenish passes out of the pool before tearing down the queues
+    // they push into.
+    replenisher_pool_->Drain(reinterpret_cast<uint64_t>(this));
   }
   for (auto& lane : lanes_) {
     if (lane->active && lane->active->fd >= 0) {
@@ -72,7 +69,7 @@ StagingPool::~StagingPool() {
 }
 
 StagingPool::Lane& StagingPool::LaneOfThisThread() {
-  return *lanes_[common::ThreadLaneIndex(lanes_.size())];
+  return *lanes_[common::ThreadLaneIndex(kLanes)];
 }
 
 bool StagingPool::CreateStageFile(CreateMode mode, StageFile* out) {
@@ -161,41 +158,32 @@ void StagingPool::ConsumeActiveLocked(Lane* lane) {
     consumed_.push_back(std::move(sf));
   }
   // Trigger the replacement now, so the pool's working set stays at its configured
-  // size. Deterministic mode creates it inline (cost rewound); thread and
-  // shared-pool modes wake their replenisher. When the spare queue is already empty
-  // the next refill creates the file in the foreground — same as the
-  // pre-concurrency pool.
-  if (opts_.replenish_thread) {
+  // size. Deterministic mode creates it inline (cost rewound); otherwise a
+  // replenish pass does. When the spare queue is already empty the next refill
+  // creates the file in the foreground — same as the pre-concurrency pool.
+  if (replenisher_pool_ != nullptr) {
     KickReplenisherLocked();
   } else if (!spare_.empty()) {
     CreateStageFileLocked(CreateMode::kBackgroundInline);
   }
 }
 
-bool StagingPool::UseReplenishPool() const {
-  return opts_.replenish_thread && services_.replenisher_pool != nullptr;
-}
-
 void StagingPool::KickReplenisherLocked() {
-  if (!opts_.replenish_thread) {
+  if (replenisher_pool_ == nullptr) {
     return;
   }
-  if (UseReplenishPool()) {
-    // Queued-pass dedup: one pending pass tops the queue up however far it has
-    // drained by the time a worker runs it.
-    services_.replenisher_pool->Submit(reinterpret_cast<uint64_t>(this),
-                                       [this] { ReplenishPassOnPool(); },
-                                       /*dedup_queued=*/true);
-    return;
-  }
-  replenish_cv_.notify_one();
+  // Queued-pass dedup: one pending pass tops the queue up however far it has
+  // drained by the time a worker runs it.
+  replenisher_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { ReplenishPass(); },
+                            /*dedup_queued=*/true);
 }
 
-void StagingPool::ReplenishPassOnPool() {
+void StagingPool::ReplenishPass() {
   std::unique_lock<std::mutex> ul(pool_mu_);
   while (!stop_ && spare_.size() < opts_.num_staging_files) {
-    // Same shape as ReplenishLoop: the kernel work runs outside pool_mu_ so
-    // foreground refills are never stalled behind a background create.
+    // Create outside pool_mu_: the kernel work (open + fallocate + map) is the
+    // slow part, and holding the pool lock across it would stall every foreground
+    // refill — the §3.5 critical-path cost this pass exists to absorb.
     ul.unlock();
     StageFile sf;
     bool ok = CreateStageFile(CreateMode::kBackgroundThread, &sf);
@@ -204,31 +192,6 @@ void StagingPool::ReplenishPassOnPool() {
       return;  // Out of space; foreground allocations will surface ENOSPC.
     }
     spare_.push_back(std::move(sf));
-  }
-}
-
-void StagingPool::ReplenishLoop() {
-  std::unique_lock<std::mutex> ul(pool_mu_);
-  while (true) {
-    replenish_cv_.wait(ul, [this] {
-      return stop_ || spare_.size() < opts_.num_staging_files;
-    });
-    if (stop_) {
-      return;
-    }
-    while (!stop_ && spare_.size() < opts_.num_staging_files) {
-      // Create outside pool_mu_: the kernel work (open + fallocate + map) is the
-      // slow part, and holding the pool lock across it would stall every foreground
-      // refill — the §3.5 critical-path cost this thread exists to absorb.
-      ul.unlock();
-      StageFile sf;
-      bool ok = CreateStageFile(CreateMode::kBackgroundThread, &sf);
-      ul.lock();
-      if (!ok) {
-        break;  // Out of space; foreground allocations will surface ENOSPC.
-      }
-      spare_.push_back(std::move(sf));
-    }
   }
 }
 

@@ -9,26 +9,28 @@
 //     touching any shared state, so concurrent appends to different files never
 //     contend on the pool;
 //   * replenishes consumed files off the critical path (the paper's §3.5 background
-//     thread). Two modes: with Options::replenish_thread a real std::thread keeps the
-//     shared spare-file queue full; without it (the default) the replacement is
+//     thread). Two modes: with Options::replenish_thread, replenish passes on a
+//     common::ServicePool keep the shared spare-file queue full — the tenant
+//     router's shared pool when one is wired in through Services, else a 1-worker
+//     pool the StagingPool owns; without it (the default) the replacement is
 //     created inline but its cost is rewound off the foreground clock — equivalent
 //     accounting with a fully deterministic store sequence, which the crash harness
 //     depends on.
 //
-// Lock order inside the pool: lane.mu, then pool_mu_. Both are leaves with respect to
-// the rest of the stack (the pool calls into K-Split while holding them, never the
-// other way around).
+// Lock order inside the pool: lane.mu, then pool_mu_, then the replenisher pool's
+// own mutex (a kick submits a pass under pool_mu_). lane.mu and pool_mu_ are leaves
+// with respect to the rest of the stack (the pool calls into K-Split while holding
+// them, never the other way around).
 #ifndef SRC_CORE_STAGING_H_
 #define SRC_CORE_STAGING_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/mmap_cache.h"
@@ -50,10 +52,10 @@ class StagingPool {
  public:
   // `instance_tag` keeps staging namespaces of concurrent U-Split instances apart.
   // `services` (optional) wires the pool into a multi-tenant deployment: with
-  // `replenisher_pool` set (and Options::replenish_thread on), replenishment jobs
-  // are registered with the shared pool instead of spawning a private thread; with
-  // `staging_tokens` set, each staging file a lane takes costs one token, pacing
-  // the tenant's staging consumption on its own timeline.
+  // `replenisher_pool` set (and Options::replenish_thread on), replenish passes run
+  // on the shared pool instead of one the StagingPool owns; with `staging_tokens`
+  // set, each staging file a lane takes costs one token, pacing the tenant's
+  // staging consumption on its own timeline.
   StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options& opts,
               const std::string& instance_tag, const Services& services = {});
   ~StagingPool();
@@ -123,10 +125,10 @@ class StagingPool {
   enum class CreateMode {
     kForeground,        // Cost on the caller's clock (startup, pool exhaustion).
     kBackgroundInline,  // Cost rewound off the caller's clock (deterministic mode).
-    kBackgroundThread,  // Created by the replenisher thread; its charges land on the
-                        // shared (non-lane) timeline, which lane-based measurements
-                        // ignore — the §3.5 point: the cost is off every app thread's
-                        // critical path.
+    kBackgroundThread,  // Created by a replenish pass; pool workers have no lane, so
+                        // the charges land on the shared (non-lane) timeline, which
+                        // lane-based measurements ignore — the §3.5 point: the cost
+                        // is off every app thread's critical path.
   };
 
   Lane& LaneOfThisThread();
@@ -146,14 +148,14 @@ class StagingPool {
   uint64_t DevOffsetOf(const StageFile& sf, uint64_t file_off) const;
   // Closes + unlinks a fully-released consumed file, off the foreground clock.
   void Retire(StageFile* sf);
-  void ReplenishLoop();
-  // True when background replenishment runs on the shared service pool instead of
-  // a private thread.
-  bool UseReplenishPool() const;
-  // One shared-pool pass: tops the spare queue back up to the configured size.
-  void ReplenishPassOnPool();
-  // Wakes whichever replenisher this pool has (private thread or shared pool).
+  // One pool pass: tops the spare queue back up to the configured size.
+  void ReplenishPass();
+  // Submits a queue-deduplicated replenish pass. Caller holds pool_mu_.
   void KickReplenisherLocked();
+
+  // Per-thread allocation lanes. Threads hash onto lanes; a single-threaded
+  // process uses exactly one.
+  static constexpr size_t kLanes = 16;
 
   ext4sim::Ext4Dax* kfs_;
   MmapCache* mmaps_;
@@ -175,9 +177,11 @@ class StagingPool {
   std::atomic<uint64_t> background_creations_{0};
   std::atomic<uint64_t> files_retired_{0};
 
-  // §3.5 replenisher (Options::replenish_thread).
-  std::thread replenisher_;
-  std::condition_variable replenish_cv_;
+  // §3.5 replenisher (Options::replenish_thread): Services::replenisher_pool when
+  // one is wired in, otherwise owned_replenisher_pool_ (one worker). Null in the
+  // inline mode. The destructor drains this pool's key before the owned pool goes.
+  common::ServicePool* replenisher_pool_ = nullptr;
+  std::unique_ptr<common::ServicePool> owned_replenisher_pool_;
   bool stop_ = false;  // Guarded by pool_mu_.
 };
 

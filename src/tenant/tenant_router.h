@@ -9,11 +9,12 @@
 // that maps each handed-out fd to its tenant and inner descriptor, and goes stale
 // (EBADF) the moment the tenant unmounts.
 //
-// Service threads are the point: a per-instance publisher + replenisher thread
-// model burns 2N threads for N tenants. The router owns three bounded pools — one
-// publisher pool, one staging-replenisher pool, one journal-commit service — and
-// every mounted instance registers work with them instead of spawning threads, so
-// 64 tenants (or thousands) run on ServiceThreads() == 3 by default.
+// Service threads are the point: an unwired instance owns a 1-worker publisher
+// pool and a 1-worker replenisher pool, so N of them burn 2N threads. The router
+// owns three bounded pools — one publisher pool, one staging-replenisher pool,
+// one journal-commit service — and every mounted instance registers its passes
+// with them instead of owning pools, so 64 tenants (or thousands) run on
+// ServiceThreads() == 3 by default.
 //
 // QoS: per-tenant token buckets pace the two shared amplifiers — staging-file
 // consumption and foreground journal commits — on the tenant's own virtual
@@ -23,10 +24,9 @@
 // Zero rates mean unlimited.
 //
 // Determinism caveat: shared pool workers interleave tenants' background publishes
-// in real-time arrival order, exactly like the private publisher thread they
-// replace. Crash cells that need a deterministic store sequence run with
-// RouterOptions::journal_service off and publishers paused, and drain through
-// DrainAllPublishes() on the test thread.
+// in real-time arrival order, as any background publisher does. Crash cells that
+// need a deterministic store sequence run with RouterOptions::journal_service off
+// and publishers paused, and drain through DrainAllPublishes() on the test thread.
 #ifndef SRC_TENANT_TENANT_ROUTER_H_
 #define SRC_TENANT_TENANT_ROUTER_H_
 

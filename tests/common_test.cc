@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/checksum.h"
 #include "src/common/epoch.h"
 #include "src/common/random.h"
+#include "src/common/service_pool.h"
 #include "src/common/status.h"
 
 namespace {
@@ -237,6 +244,106 @@ TEST(EpochGc, DrainSpinsToFullQuiescence) {
   list->Drain();
   EXPECT_EQ(live, 0);
   delete list;
+}
+
+// --- ServicePool: the one background executor -----------------------------------------
+
+// One-shot latch: Wait() blocks until Open().
+class Gate {
+ public:
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ServicePool, DedupDropsASubmitOnlyWhileItsTwinIsQueued) {
+  Gate blocker_running, release_blocker, twin_running, release_twin;
+  std::atomic<int> runs{0};
+  common::ServicePool pool("dedup", 1);
+  // Occupy the only worker so key-2 jobs stay queued.
+  pool.Submit(1, [&] {
+    blocker_running.Open();
+    release_blocker.Wait();
+  });
+  blocker_running.Wait();
+  pool.Submit(2, [&] { runs.fetch_add(1); }, /*dedup_queued=*/true);
+  pool.Submit(2, [&] { runs.fetch_add(1); }, /*dedup_queued=*/true);  // Absorbed.
+  EXPECT_EQ(pool.QueueDepth(), 1u);
+  release_blocker.Open();
+  pool.Drain(2);
+  EXPECT_EQ(runs.load(), 1);
+
+  // A *running* twin absorbs nothing: it may have sampled state from before the
+  // new submit, so the submit queues a fresh run.
+  pool.Submit(3, [&] {
+    runs.fetch_add(1);
+    twin_running.Open();
+    release_twin.Wait();
+  }, /*dedup_queued=*/true);
+  twin_running.Wait();
+  pool.Submit(3, [&] { runs.fetch_add(1); }, /*dedup_queued=*/true);
+  EXPECT_EQ(pool.QueueDepth(), 1u);
+  release_twin.Open();
+  pool.Drain(3);
+  EXPECT_EQ(runs.load(), 3);
+}
+
+TEST(ServicePool, DrainWaitsForSelfSubmittedJobsButNotAnotherKey) {
+  Gate other_running, release_other;
+  std::atomic<bool> chained_done{false};
+  common::ServicePool pool("drain", 2);
+  // Key 1 holds one worker until the end of the test.
+  pool.Submit(1, [&] {
+    other_running.Open();
+    release_other.Wait();
+  });
+  other_running.Wait();
+  // Key 2's job submits a follow-up under its own key before it returns; the
+  // follow-up finishes late enough that a drain ignoring it would be caught.
+  pool.Submit(2, [&] {
+    pool.Submit(2, [&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      chained_done.store(true);
+    });
+  });
+  auto drained = std::async(std::launch::async, [&] { pool.Drain(2); });
+  bool returned = drained.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "Drain(2) waited on key 1's blocked job";
+  EXPECT_TRUE(chained_done.load());
+  release_other.Open();
+  drained.wait();
+  pool.DrainAll();
+}
+
+TEST(ServicePool, OnWorkerThreadOnlyInsideThisPoolsOwnJob) {
+  common::ServicePool a("a", 1);
+  common::ServicePool b("b", 1);
+  std::atomic<int> a_in_a{-1}, b_in_a{-1}, a_in_b{-1};
+  a.Submit(1, [&] {
+    a_in_a.store(a.OnWorkerThread());
+    b_in_a.store(b.OnWorkerThread());
+  });
+  b.Submit(1, [&] { a_in_b.store(a.OnWorkerThread()); });
+  a.Drain(1);
+  b.Drain(1);
+  EXPECT_EQ(a_in_a.load(), 1);
+  EXPECT_EQ(b_in_a.load(), 0);  // Another pool's worker is not b's.
+  EXPECT_EQ(a_in_b.load(), 0);
+  EXPECT_FALSE(a.OnWorkerThread());  // The submitter.
+  EXPECT_FALSE(b.OnWorkerThread());
 }
 
 }  // namespace

@@ -15,11 +15,15 @@
 //     keeps exactly one cached state;
 //   * close() of a file whose publish is already queued acks nothing an append
 //     racing it could slip into (forced through the close-ack test hook);
+//   * one background executor: a single-tenant instance's publisher and
+//     replenisher are two owned 1-worker pools (two OS threads, joined at
+//     teardown), and teardown publishes whatever a paused publisher left queued;
 //   * counter integrity (relinks, staging pool) under concurrency.
 //
 // Every suite runs twice per mode: synchronous publication and the async relink
-// publisher (Options::async_relink + a real publisher thread), so the TSan pass of
-// scripts/check.sh exercises the intent-log/publish/fence protocol.
+// publisher (Options::async_relink + publish passes on the instance's 1-worker
+// publisher pool), so the TSan pass of scripts/check.sh exercises the
+// intent-log/publish/fence protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,9 +38,11 @@
 
 #include "src/analysis/persist_checker.h"
 #include "src/common/bytes.h"
+#include "src/common/service_pool.h"
 #include "src/core/split_fs.h"
 #include "src/ext4/fsck.h"
 #include "src/workloads/parallel.h"
+#include "tests/os_threads.h"
 
 namespace {
 
@@ -615,6 +621,104 @@ TEST(CloseAckRaceTest, QueuedCloseClaimsNoDurabilityOverConcurrentAppend) {
   EXPECT_TRUE(std::equal(second.begin(), second.end(), back.begin() + kBlockSize));
   ASSERT_EQ(fs.Close(afd), 0);
   EXPECT_EQ(checker.violation_count(), 0u);
+}
+
+// --- One background executor ---------------------------------------------------------
+
+TEST(BackgroundExecutor, SingleTenantServicesAddTwoOsThreadsAndJoinThem) {
+  // Without Services wiring, the async publisher and the §3.5 replenisher each run
+  // on a 1-worker pool the instance owns: exactly two OS threads while it lives,
+  // none left after it is destroyed. Work through both services spawns nothing.
+  if (testutil::OsThreadCount() < 0) {
+    GTEST_SKIP() << "/proc/self/task is not readable here";
+  }
+  testutil::PrimeThreadRuntime();
+  sim::Context ctx;
+  pmem::Device dev(&ctx, 256 * kMiB);
+  ext4sim::Ext4Dax kfs(&dev);
+  const int baseline = testutil::SettledOsThreadCount();
+  {
+    SplitFs fs(&kfs, ConcurrentOptions(Mode::kPosix, /*async_publish=*/true));
+    EXPECT_EQ(testutil::OsThreadCount(), baseline + 2);
+    int fd = fs.Open("/threads", vfs::kRdWr | vfs::kCreate);
+    ASSERT_GE(fd, 0);
+    // Enough appends to consume staging files (replenish passes) and fsyncs to
+    // queue publishes (publish passes).
+    std::vector<uint8_t> chunk(1 * kMiB, 0x6B);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_EQ(fs.Write(fd, chunk.data(), chunk.size()),
+                static_cast<ssize_t>(chunk.size()));
+      ASSERT_EQ(fs.Fsync(fd), 0);
+    }
+    fs.WaitForPublishes();
+    EXPECT_GT(fs.AsyncPublishes(), 0u);
+    // Replenish passes have no completion fence; poll for the first one.
+    for (int i = 0; i < 2000 && fs.staging_pool().BackgroundCreations() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(fs.staging_pool().BackgroundCreations(), 0u);
+    EXPECT_EQ(testutil::OsThreadCount(), baseline + 2);
+    ASSERT_EQ(fs.Close(fd), 0);
+  }
+  EXPECT_EQ(testutil::OsThreadCountSettlingTo(baseline), baseline);
+}
+
+TEST(BackgroundExecutor, TeardownPublishesWhatAPausedPublisherLeftQueued) {
+  // StopPublisher's one path: teardown lifts the test pause, fences the pool, and
+  // publishes the still-queued files on the destroying thread. Every fsync below
+  // was acknowledged at its intent fence, so K-Split alone — no Recover — must
+  // afterwards hold each file at full size with its bytes. Run on the instance's
+  // own pool and on a pool wired in through Services; the wired pool is drained
+  // before teardown, so no pass scheduled by the enqueues can run after the pause
+  // lifts and only the teardown drain can publish.
+  constexpr int kFiles = 3;
+  constexpr uint64_t kBytes = 3 * kBlockSize + 100;  // Unaligned tail.
+  auto payload = [](int f, uint64_t i) {
+    return static_cast<uint8_t>(0x5A ^ (f * 31) ^ (i * 7));
+  };
+  for (bool wired : {false, true}) {
+    SCOPED_TRACE(wired ? "Services::publisher_pool" : "owned publisher pool");
+    sim::Context ctx;
+    pmem::Device dev(&ctx, 256 * kMiB);
+    ext4sim::Ext4Dax kfs(&dev);
+    common::ServicePool publishers("test.publishers");
+    splitfs::Services services;
+    if (wired) {
+      services.publisher_pool = &publishers;
+    }
+    {
+      SplitFs fs(&kfs, ConcurrentOptions(Mode::kPosix, /*async_publish=*/true), "u0",
+                 services);
+      fs.set_publisher_paused_for_test(true);
+      for (int f = 0; f < kFiles; ++f) {
+        int fd = fs.Open("/teardown" + std::to_string(f), vfs::kRdWr | vfs::kCreate);
+        ASSERT_GE(fd, 0);
+        std::vector<uint8_t> data(kBytes);
+        for (uint64_t i = 0; i < kBytes; ++i) {
+          data[i] = payload(f, i);
+        }
+        ASSERT_EQ(fs.Pwrite(fd, data.data(), kBytes, 0), static_cast<ssize_t>(kBytes));
+        ASSERT_EQ(fs.Fsync(fd), 0);  // Acked at the intent fence; queued, parked.
+      }
+      publishers.DrainAll();
+      ASSERT_EQ(fs.PublishQueueDepth(), static_cast<size_t>(kFiles));
+      ASSERT_EQ(fs.Relinks(), 0u);
+    }  // Destroyed with the publisher still paused and every file queued.
+    for (int f = 0; f < kFiles; ++f) {
+      const std::string path = "/teardown" + std::to_string(f);
+      vfs::StatBuf st;
+      ASSERT_EQ(kfs.Stat(path, &st), 0) << path;
+      EXPECT_EQ(st.size, kBytes) << path;
+      int kfd = kfs.Open(path, vfs::kRdOnly);
+      ASSERT_GE(kfd, 0) << path;
+      std::vector<uint8_t> back(kBytes);
+      ASSERT_EQ(kfs.Pread(kfd, back.data(), kBytes, 0), static_cast<ssize_t>(kBytes));
+      for (uint64_t i = 0; i < kBytes; ++i) {
+        ASSERT_EQ(back[i], payload(f, i)) << path << " byte " << i;
+      }
+      ASSERT_EQ(kfs.Close(kfd), 0);
+    }
+  }
 }
 
 // --- fd table stress ------------------------------------------------------------------

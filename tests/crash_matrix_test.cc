@@ -587,7 +587,6 @@ BatchCrashOutcome RunBatchedPublishCrashState(uint64_t store_ordinal,
   o.oplog_bytes = 256 * common::kKiB;
   o.async_relink = true;
   o.publisher_thread = true;
-  o.publish_batch = 4;
   auto sfs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
   splitfs::SplitFs* fs = sfs.get();
   w->fs = std::move(sfs);
@@ -617,7 +616,7 @@ BatchCrashOutcome RunBatchedPublishCrashState(uint64_t store_ordinal,
       {crash::CrashPoint::Trigger::kAfterStore, store_ordinal});
   w->dev->SetObserver(&injector);
   try {
-    fs->DrainQueuedPublishesForTest();
+    fs->DrainQueuedPublishes();
   } catch (const crash::CrashSignal&) {
     out.crashed = true;
   }

@@ -292,13 +292,13 @@ TEST(JournalCoalescingTest, LogFullDuringWindowForcesImmediateSeal) {
   EXPECT_GT(j.FreeLogBytes(), 0u);
 }
 
-// --- Publish-batch auto-sizing (Options::publish_batch == 0) --------------------------
+// --- Batched publication: one journal commit per publish pass -----------------------
 //
 // Queues kFiles publishes behind a paused publisher, then releases it and counts
-// journal commits while the backlog drains. A fixed publish_batch=1 relinks one
-// file per pass (one commit each); auto sizing takes the whole backlog in one
-// pass, so a deeper queue drains in fewer commits.
-uint64_t CommitsToDrainBacklog(uint32_t publish_batch) {
+// journal commits while the backlog drains. A pass takes the whole queue as it
+// stands under one commit, so the deep backlog drains in (nearly) one commit
+// instead of one per file.
+TEST(PublishBatchTest, DeepQueueDrainsInOneCommitPerPass) {
   sim::Context ctx;
   pmem::Device dev(&ctx, 256 * common::kMiB);
   ext4sim::Ext4Dax kfs(&dev);
@@ -309,7 +309,6 @@ uint64_t CommitsToDrainBacklog(uint32_t publish_batch) {
   o.oplog_bytes = 4 * common::kMiB;
   o.async_relink = true;
   o.publisher_thread = true;
-  o.publish_batch = publish_batch;
   splitfs::SplitFs fs(&kfs, o);
   fs.set_publisher_paused_for_test(true);
 
@@ -318,32 +317,24 @@ uint64_t CommitsToDrainBacklog(uint32_t publish_batch) {
   std::vector<int> fds;
   for (int i = 0; i < kFiles; ++i) {
     int fd = fs.Open("/f" + std::to_string(i), vfs::kCreate | vfs::kRdWr);
-    EXPECT_GE(fd, 0);
-    EXPECT_EQ(fs.Pwrite(fd, rec.data(), rec.size(), 0),
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(fs.Pwrite(fd, rec.data(), rec.size(), 0),
               static_cast<ssize_t>(rec.size()));
-    EXPECT_EQ(fs.Fsync(fd), 0);  // Acks at the intent fence, queues the publish.
+    ASSERT_EQ(fs.Fsync(fd), 0);  // Acks at the intent fence, queues the publish.
     fds.push_back(fd);
   }
-  EXPECT_EQ(fs.PublishQueueDepth(), static_cast<size_t>(kFiles));
+  ASSERT_EQ(fs.PublishQueueDepth(), static_cast<size_t>(kFiles));
 
   uint64_t before = kfs.JournalCommits();
   fs.set_publisher_paused_for_test(false);
   fs.WaitForPublishes();
   uint64_t commits = kfs.JournalCommits() - before;
+  EXPECT_EQ(fs.Relinks(), static_cast<uint64_t>(kFiles));
+  // One commit per file would take kFiles; the pass amortizes the whole backlog.
+  EXPECT_LE(commits, 2u);
   for (int fd : fds) {
     EXPECT_EQ(fs.Close(fd), 0);
   }
-  return commits;
-}
-
-TEST(PublishBatchTest, AutoSizingDrainsDeepQueueInFewerCommits) {
-  uint64_t fixed = CommitsToDrainBacklog(/*publish_batch=*/1);
-  uint64_t autosized = CommitsToDrainBacklog(/*publish_batch=*/0);
-  // One-at-a-time pays one commit per queued file; the auto batch amortizes the
-  // whole backlog into (nearly) one.
-  EXPECT_GE(fixed, 6u);
-  EXPECT_LE(autosized, 2u);
-  EXPECT_LT(autosized, fixed);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   * path/fd routing: first component picks the tenant, fds go stale at unmount,
 //     cross-tenant rename is -EXDEV, unknown namespaces are -ENOENT;
 //   * 64 mounted tenants run on exactly 3 shared service threads (one publisher,
-//     one replenisher, one journal-commit worker) with every tenant's data intact;
+//     one replenisher, one journal-commit worker) — mounting them starts no OS
+//     thread of its own — with every tenant's data intact;
 //   * per-tenant QoS: a throttled tenant's journal/staging waits land in the
 //     contention ledger under tenant.<id>.* while an unthrottled neighbor pays
 //     nothing, and the tenant.<id>.* gauges appear at mount and vanish at unmount;
@@ -22,6 +23,7 @@
 
 #include "src/common/bytes.h"
 #include "src/tenant/tenant_router.h"
+#include "tests/os_threads.h"
 
 namespace {
 
@@ -136,6 +138,9 @@ TEST_F(TenantTest, PathAndFdRouting) {
 TEST_F(TenantTest, SixtyFourTenantsThreeServiceThreads) {
   TenantRouter router(&kfs_);
   ASSERT_EQ(router.ServiceThreads(), 3);
+  // ServiceThreads() counts the router's own pools; the OS count checks that no
+  // mounted instance starts a thread beside them.
+  const int router_threads = testutil::SettledOsThreadCount();
 
   constexpr int kTenants = 64;
   const std::string payload(16 * 1024, 'x');
@@ -153,6 +158,9 @@ TEST_F(TenantTest, SixtyFourTenantsThreeServiceThreads) {
   }
   EXPECT_EQ(router.TenantCount(), static_cast<size_t>(kTenants));
   EXPECT_EQ(router.ServiceThreads(), 3);
+  if (router_threads >= 0) {
+    EXPECT_EQ(testutil::OsThreadCount(), router_threads);
+  }
 
   router.DrainAllPublishes();
   std::string back(payload.size(), 0);

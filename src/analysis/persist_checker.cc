@@ -20,8 +20,6 @@ ScopedLintSite::ScopedLintSite(const char* site) : prev_(t_lint_site) {
 }
 ScopedLintSite::~ScopedLintSite() { t_lint_site = prev_; }
 
-void PersistChecker::SetLintSite(const char* site) { t_lint_site = site; }
-
 const char* PersistChecker::LintSiteOrDefault() const {
   return t_lint_site != nullptr ? t_lint_site : "unannotated";
 }

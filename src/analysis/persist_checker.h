@@ -88,9 +88,6 @@ class PersistChecker : public pmem::DeviceObserver {
   // Drops the calling thread's open (unsealed) cover, if any.
   void AbandonCover();
 
-  // Rule (c): the lint site active for the calling thread (see ScopedLintSite).
-  static void SetLintSite(const char* site);
-
   // --- Results -----------------------------------------------------------------------
   struct Violation {
     std::string rule;    // "acked_but_volatile" or "publish_before_persist".

@@ -59,7 +59,6 @@ class KvLsm {
   // Introspection.
   uint64_t Flushes() const { return flushes_; }
   uint64_t Compactions() const { return compactions_; }
-  size_t TableCount() const { return tables_.size(); }
 
  private:
   struct TableEntry {

@@ -80,12 +80,6 @@ class EpochGc {
   // synchronized). Returns the retirement epoch to store alongside the object.
   uint64_t BeginRetire() { return epoch_.fetch_add(1, std::memory_order_seq_cst) + 1; }
 
-  // True when every reader either is idle or pinned an epoch >= `retire_epoch`, i.e.
-  // no read-side section can still reference an object retired at `retire_epoch`.
-  bool Quiesced(uint64_t retire_epoch) {
-    return retire_epoch <= QuiescedHorizon();
-  }
-
   // One registry walk answering the quiescence question for *every* retirement at
   // once: all objects retired at an epoch <= the returned horizon are unreachable.
   // A reader pinned at epoch E validated the pin after any epoch-E retirement's

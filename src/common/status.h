@@ -1,8 +1,7 @@
-// Minimal error-handling vocabulary for the repository.
+// Error conventions and invariant checks for the repository.
 //
-// The VFS boundary speaks POSIX: `int` / `ssize_t` returns where negative values are
-// -errno, exactly like kernel file-system code. Above that boundary, `Expected<T>`
-// carries either a value or an errno code without exceptions.
+// Every layer speaks POSIX: `int` / `ssize_t` returns where negative values are
+// -errno, exactly like kernel file-system code.
 #ifndef SRC_COMMON_STATUS_H_
 #define SRC_COMMON_STATUS_H_
 
@@ -11,55 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
-#include <variant>
 
 namespace common {
-
-// A POSIX error code; 0 means success. Stored positive (e.g. ENOENT).
-class Errno {
- public:
-  constexpr Errno() : code_(0) {}
-  constexpr explicit Errno(int code) : code_(code < 0 ? -code : code) {}
-
-  constexpr bool ok() const { return code_ == 0; }
-  constexpr int code() const { return code_; }
-  // The kernel-style negative form, suitable for ssize_t returns.
-  constexpr int negated() const { return -code_; }
-
-  friend constexpr bool operator==(Errno a, Errno b) { return a.code_ == b.code_; }
-
- private:
-  int code_;
-};
-
-// Either a T or an Errno. Intentionally tiny; no exceptions involved.
-template <typename T>
-class Expected {
- public:
-  Expected(T value) : repr_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  Expected(Errno err) : repr_(err) {}             // NOLINT(google-explicit-constructor)
-  static Expected FromErrno(int code) { return Expected(Errno(code)); }
-
-  bool ok() const { return std::holds_alternative<T>(repr_); }
-  explicit operator bool() const { return ok(); }
-
-  const T& value() const& { return std::get<T>(repr_); }
-  T& value() & { return std::get<T>(repr_); }
-  T&& value() && { return std::get<T>(std::move(repr_)); }
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
-
-  Errno error() const { return ok() ? Errno() : std::get<Errno>(repr_); }
-
-  T value_or(T fallback) const { return ok() ? value() : std::move(fallback); }
-
- private:
-  std::variant<T, Errno> repr_;
-};
-
 namespace internal {
 [[noreturn]] inline void CheckFailed(const char* file, int line, const char* expr) {
   std::fprintf(stderr, "CHECK failed at %s:%d: %s\n", file, line, expr);

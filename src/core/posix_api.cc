@@ -41,7 +41,7 @@ int Posix::TranslateFlags(int oflag) {
   return flags;
 }
 
-int Posix::open(const char* path, int oflag, mode_t mode) {
+int Posix::open(const char* path, int oflag, mode_t /*mode*/) {
   int flags = TranslateFlags(oflag);
   if (flags < 0) {
     errno = EINVAL;
@@ -279,7 +279,7 @@ int Posix::stat(const char* path, struct stat* st) {
   return 0;
 }
 
-int Posix::access(const char* path, int amode) {
+int Posix::access(const char* path, int /*amode*/) {
   vfs::StatBuf sb;
   int rc = fs_->Stat(path, &sb);
   if (rc != 0) {
@@ -326,7 +326,7 @@ int Posix::rename(const char* from, const char* to) {
   return 0;
 }
 
-int Posix::mkdir(const char* path, mode_t mode) {
+int Posix::mkdir(const char* path, mode_t /*mode*/) {
   int rc = fs_->Mkdir(path);
   if (rc != 0) {
     SetErrno(rc);

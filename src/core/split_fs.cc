@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "src/analysis/annotations.h"
@@ -45,6 +46,44 @@ int CheckpointSite() {
 int EpochGateSite() {
   static const int kSite = analysis::LockSite("usplit.epoch_gate");
   return kSite;
+}
+
+// How one staged run [file_off, file_off + len) lands in its target file, for the
+// live publish (RelinkRun) and op-log replay (Recover) alike:
+//   [ head partial | aligned core ... | tail partial ]
+// Head/tail partial blocks are copied (the paper's "SplitFS copies the partial
+// data"); the aligned core moves by extent swap with zero data movement.
+struct RunLayout {
+  uint64_t head_end = 0;   // [file_off, head_end) is copied.
+  uint64_t core_src = 0;   // Staging offset the swap starts at.
+  uint64_t core_end = 0;   // [head_end, core_end) moves by extent swap...
+  uint64_t core_len = 0;   // ...of this many (block-aligned) bytes; 0 = no swap.
+  // [core_end, file_off + len) is copied: non-empty only for an overwrite's tail.
+};
+
+// Appends may relink their final partial block whole (nothing lives past EOF);
+// an overwrite whose unaligned end lies strictly inside the target copies that tail
+// instead — relinking it would clobber the settled bytes that share its block.
+// `target_size()` is asked only for such an overwrite.
+template <typename TargetSize>
+RunLayout LayOutRun(uint64_t file_off, uint64_t len, uint64_t staging_off,
+                    bool is_overwrite, TargetSize target_size) {
+  const uint64_t end = file_off + len;
+  RunLayout lay;
+  lay.head_end = file_off;
+  lay.core_src = staging_off;
+  if (file_off % kBlockSize != 0) {
+    lay.head_end = std::min(end, common::AlignUp(file_off, kBlockSize));
+    lay.core_src = common::AlignUp(staging_off, kBlockSize);
+  }
+  lay.core_end = end;
+  if (is_overwrite && end % kBlockSize != 0 && end < target_size()) {
+    lay.core_end = std::max(lay.head_end, common::AlignDown(end, kBlockSize));
+  }
+  if (lay.core_end > lay.head_end) {
+    lay.core_len = common::AlignUp(lay.core_end - lay.head_end, kBlockSize);
+  }
+  return lay;
 }
 }  // namespace
 
@@ -249,34 +288,10 @@ int SplitFs::Open(const std::string& path, int flags) {
         if (IsDefunct(fs.get())) {
           continue;  // Unlinked while we queued for the lock.
         }
-        // Publish-then-truncate, mirroring Ftruncate: simply discarding the staged
-        // ranges would leave their op-log append entries valid and the staged blocks
-        // in place, so strict-mode crash recovery would resurrect the truncated
-        // data. Publishing first turns those staging ranges into holes replay skips.
-        int rc = PublishStaged(fs.get());
+        int rc = TruncateLocked(fs.get(), 0);
         if (rc != 0) {
           return rc;
         }
-        rc = kfs_->Ftruncate(fs->kernel_fd, 0);
-        if (rc != 0) {
-          return rc;
-        }
-        uint64_t old_size;
-        {
-          std::lock_guard<std::mutex> meta(fs->meta_mu);
-          old_size = fs->size;
-          fs->size = 0;
-          fs->kernel_size = 0;
-          fs->metadata_dirty = true;
-        }
-        mmaps_.InvalidateRange(fs->ino, 0, std::max<uint64_t>(old_size, kBlockSize));
-        if (oplog_ != nullptr) {
-          // Logged in strict mode *and* async configurations: replay must know the
-          // truncate ordered after any intent entries, or their partial-block head
-          // copies would resurrect truncated bytes.
-          LogMetaOp(LogOp::kTruncate, fs->ino, 0, fs.get());
-        }
-        MakeMetadataSynchronous(fs.get());
       }
       {
         std::lock_guard<std::mutex> meta(fs->meta_mu);
@@ -426,39 +441,10 @@ int SplitFs::Unlink(const std::string& path) {
       ino = it->second;
       pshard.map.erase(it);
     }
-    if (ino != vfs::kInvalidIno) {
-      FileRef fs = FileOf(ino);
-      if (fs != nullptr) {
-        {
-          // Descriptor operations now miss; in-flight ones drain below.
-          FileShard& shard = FileShardOf(ino);
-          std::lock_guard<std::shared_mutex> lock(shard.mu);
-          shard.map.erase(ino);
-        }
-        RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
-        // Staged-but-unpublished data dies with the file; the pool gets its bytes
-        // back and mappings are unmapped here — this is what makes unlink SplitFS's
-        // most expensive call (Table 6).
-        {
-          std::lock_guard<std::mutex> meta(fs->meta_mu);
-          if (!fs->staged.empty()) {
-            if (staging_) {
-              for (const auto& [off, r] : fs->staged) {
-                staging_->Release(r.alloc);
-              }
-            }
-            fs->staged.clear();
-            dirty_files_.fetch_sub(1, std::memory_order_release);
-          }
-          fs->defunct = true;  // Queued writers/readers bail with EBADF.
-        }
-        // Unpublished staged data died with the file: nothing to acknowledge.
-        analysis::DropAllDeps(kfs_->device(), fs->ino);
-        mmaps_.InvalidateFile(fs->ino);
-        if (opts_.mode == Mode::kStrict) {
-          LogMetaOp(LogOp::kUnlink, fs->ino, 0, fs.get());
-        }
-        kfs_->Close(fs->kernel_fd);
+    if (FileRef fs = FileOf(ino); fs != nullptr) {
+      TearDown(fs.get());
+      if (opts_.mode == Mode::kStrict) {
+        LogMetaOp(LogOp::kUnlink, ino, 0, nullptr);
       }
     }
     rc = kfs_->Unlink(path);
@@ -522,7 +508,16 @@ int SplitFs::Rename(const std::string& from, const std::string& to) {
         tshard.map.erase(it);
       }
     }
-    TeardownDisplacedState(to, displaced);
+    if (FileRef victim = FileOf(displaced); victim != nullptr) {
+      bool names_to;  // False once the cached state no longer names `to`.
+      {
+        std::lock_guard<std::mutex> meta(victim->meta_mu);
+        names_to = victim->path == to;
+      }
+      if (names_to) {
+        TearDown(victim.get());
+      }
+    }
     if (ino != vfs::kInvalidIno) {
       FileRef fs = FileOf(ino);
       if (fs != nullptr) {
@@ -539,28 +534,18 @@ int SplitFs::Rename(const std::string& from, const std::string& to) {
   return 0;
 }
 
-void SplitFs::TeardownDisplacedState(const std::string& path, Ino displaced) {
-  if (displaced == vfs::kInvalidIno) {
-    return;
-  }
-  FileRef fs = FileOf(displaced);
-  bool matches = false;
-  if (fs != nullptr) {
-    std::lock_guard<std::mutex> meta(fs->meta_mu);
-    matches = fs->path == path;
-  }
-  if (!matches) {
-    return;
-  }
+void SplitFs::TearDown(FileState* fs) {
   {
-    FileShard& shard = FileShardOf(displaced);
+    // Descriptor operations now miss; in-flight ones drain on the lock below.
+    FileShard& shard = FileShardOf(fs->ino);
     std::lock_guard<std::shared_mutex> lock(shard.mu);
-    shard.map.erase(displaced);
+    shard.map.erase(fs->ino);
   }
   RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
+  // Staged-but-unpublished data dies with the file; the pool gets its bytes back (so
+  // consumed staging files can retire) and mappings are unmapped here — this is what
+  // makes unlink SplitFS's most expensive call (Table 6).
   {
-    // Same teardown as Unlink: staged-but-unpublished data dies with the displaced
-    // file, and its bytes go back to the pool so consumed staging files can retire.
     std::lock_guard<std::mutex> meta(fs->meta_mu);
     if (!fs->staged.empty()) {
       if (staging_) {
@@ -571,9 +556,9 @@ void SplitFs::TeardownDisplacedState(const std::string& path, Ino displaced) {
       fs->staged.clear();
       dirty_files_.fetch_sub(1, std::memory_order_release);
     }
-    fs->defunct = true;
+    fs->defunct = true;  // Queued writers/readers bail with EBADF.
   }
-  // Unpublished staged data died with the displaced file: nothing to acknowledge.
+  // Unpublished staged data died with the file: nothing to acknowledge.
   analysis::DropAllDeps(kfs_->device(), fs->ino);
   mmaps_.InvalidateFile(fs->ino);
   kfs_->Close(fs->kernel_fd);
@@ -778,78 +763,52 @@ ssize_t SplitFs::LockedWrite(FileState* fs, const void* buf, uint64_t n, uint64_
       std::lock_guard<std::mutex> meta(fs->meta_mu);
       whole = off + n > fs->size;
     }
-    if (whole) {
-      RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
-      if (IsDefunct(fs)) {
-        return -EBADF;  // Unlinked while we queued for the lock.
-      }
-      return WriteAt(fs, buf, n, off);
-    }
-    if (opts_.mode == Mode::kStrict) {
-      // Per-range strict path. Both steps are try-only: a registered writer must
-      // never block on a range lock (the gate-drain invariant), and a closed gate
-      // means a checkpoint is quiescing. Any failure falls back to the whole-file
-      // path, which is always correct — the checkpoint's try-lock sweep then
-      // handles us like any other whole-file writer.
-      bool entered = TryEnterRangeWrite();
-      if (!entered) {
+    // Strict per-range writers register with the checkpoint epoch gate. Both steps
+    // are try-only: a registered writer must never block on a range lock (the
+    // gate-drain invariant), and a closed gate means a checkpoint is quiescing. Any
+    // failure falls back to the whole-file path, which is always correct — the
+    // checkpoint's try-lock sweep then handles us like any other whole-file writer.
+    bool gated = false;
+    if (!whole && opts_.mode == Mode::kStrict) {
+      gated = TryEnterRangeWrite();
+      if (!gated) {
         ChargeEpochGateWait();  // Deflected by a draining checkpoint.
       } else if (!fs->rlock.TryLockExclusive(off, n)) {
         ExitRangeWrite();
-        entered = false;
+        gated = false;
       }
-      if (!entered) {
-        RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
-        if (IsDefunct(fs)) {
-          return -EBADF;
-        }
-        return WriteAt(fs, buf, n, off);
-      }
-      bool defunct;
-      bool still_inside;
-      {
-        std::lock_guard<std::mutex> meta(fs->meta_mu);
-        defunct = fs->defunct;
-        still_inside = off + n <= fs->size;
-      }
-      if (defunct || !still_inside) {
-        fs->rlock.UnlockExclusive(off, n);
-        ExitRangeWrite();
-        if (defunct) {
-          return -EBADF;
-        }
-        continue;  // Shrunk between classification and lock; re-classify.
-      }
-      RangeWriteCtx range{off, n};
-      ssize_t rc = WriteAt(fs, buf, n, off, &range);
-      fs->rlock.UnlockExclusive(off, n);
-      ExitRangeWrite();
-      if (rc == kRangeWriteRetry) {
-        continue;  // Raced a checkpoint/truncate mid-log; replay is idempotent.
-      }
-      return rc;
+      whole = !gated;
     }
-    fs->rlock.LockExclusive(off, n);
-    bool still_inside;
+    const uint64_t lock_off = whole ? 0 : off;
+    const uint64_t lock_len = whole ? RangeLock::kWholeFile : n;
+    if (!gated) {
+      fs->rlock.LockExclusive(lock_off, lock_len);
+    }
     bool defunct;
+    bool shrunk;
     {
       std::lock_guard<std::mutex> meta(fs->meta_mu);
-      still_inside = off + n <= fs->size;
       defunct = fs->defunct;
+      shrunk = !whole && off + n > fs->size;
     }
+    ssize_t rc;
     if (defunct) {
-      fs->rlock.UnlockExclusive(off, n);
-      return -EBADF;
+      rc = -EBADF;  // Unlinked while we queued for the lock.
+    } else if (shrunk) {
+      rc = kRangeWriteRetry;  // Truncate won the race to the lock: re-classify.
+    } else {
+      RangeWriteCtx range{off, n};
+      rc = WriteAt(fs, buf, n, off, gated ? &range : nullptr);
     }
-    if (!still_inside) {
-      // The file shrank between classification and lock acquisition (truncate won
-      // the race); re-classify with the whole file.
-      fs->rlock.UnlockExclusive(off, n);
-      continue;
+    fs->rlock.UnlockExclusive(lock_off, lock_len);
+    if (gated) {
+      ExitRangeWrite();
     }
-    ssize_t rc = WriteAt(fs, buf, n, off);
-    fs->rlock.UnlockExclusive(off, n);
-    return rc;
+    if (rc != kRangeWriteRetry) {
+      return rc;
+    }
+    // Shrunk, or a gated write raced a checkpoint/truncate mid-log: the replay is
+    // idempotent.
   }
 }
 
@@ -875,27 +834,21 @@ ssize_t SplitFs::ReadAt(FileState* fs, void* buf, uint64_t n, uint64_t off) {
     //    staging block" (Figure 2). Look up under the metadata mutex and copy the
     //    range descriptor out; the bytes themselves are stable — our shared range
     //    lock excludes writers of this range.
-    StagedRange covering;
-    bool have_covering = false;
-    uint64_t next_staged_start = end;
+    std::optional<StagedRange> covering;
+    uint64_t seg_end = end;
     {
       std::lock_guard<std::mutex> meta(fs->meta_mu);
-      auto sit = fs->staged.upper_bound(cur);
-      if (sit != fs->staged.begin()) {
-        auto prev = std::prev(sit);
-        if (cur < prev->first + prev->second.alloc.len) {
-          covering = prev->second;
-          have_covering = true;
-        }
-      }
-      if (!have_covering && sit != fs->staged.end()) {
-        next_staged_start = std::min(end, sit->first);
+      StagedLookup at = FindStaged(fs, cur);
+      if (at.covering != nullptr) {
+        covering = *at.covering;
+      } else {
+        seg_end = std::min(end, at.next_start);
       }
     }
-    if (have_covering) {
-      uint64_t delta = cur - covering.file_off;
-      uint64_t span = std::min(end - cur, covering.alloc.len - delta);
-      dev->Load(covering.alloc.dev_off + delta, dst, span, sequential,
+    if (covering) {
+      uint64_t delta = cur - covering->file_off;
+      uint64_t span = std::min(end - cur, covering->alloc.len - delta);
+      dev->Load(covering->alloc.dev_off + delta, dst, span, sequential,
                 sim::PmReadKind::kUserData);
       sequential = true;
       dst += span;
@@ -905,7 +858,6 @@ ssize_t SplitFs::ReadAt(FileState* fs, void* buf, uint64_t n, uint64_t off) {
 
     // 2. Unstaged segment up to the next staged range: serve from the collection of
     //    mmaps, creating the surrounding region on first touch.
-    uint64_t seg_end = next_staged_start;
     auto hit = mmaps_.Translate(fs->ino, cur);
     if (!hit) {
       mmaps_.EnsureRegion(fs->ino, fs->kernel_fd, cur);
@@ -939,18 +891,13 @@ uint64_t SplitFs::OverwriteStagedOverlap(FileState* fs, const uint8_t* buf, uint
   uint64_t span = 0;
   {
     std::lock_guard<std::mutex> meta(fs->meta_mu);
-    auto sit = fs->staged.upper_bound(off);
-    if (sit == fs->staged.begin()) {
+    const StagedRange* r = FindStaged(fs, off).covering;
+    if (r == nullptr) {
       return 0;
     }
-    auto prev = std::prev(sit);
-    const StagedRange& r = prev->second;
-    if (off >= r.file_off + r.alloc.len) {
-      return 0;
-    }
-    uint64_t delta = off - r.file_off;
-    span = std::min(n, r.alloc.len - delta);
-    store_dev = r.alloc.dev_off + delta;
+    uint64_t delta = off - r->file_off;
+    span = std::min(n, r->alloc.len - delta);
+    store_dev = r->alloc.dev_off + delta;
   }
   // Update the staged bytes in place: they are not yet published, so this stays
   // atomic with the eventual relink. The caller's range lock covers these bytes.
@@ -1115,13 +1062,7 @@ ssize_t SplitFs::WriteAt(FileState* fs, const void* buf, uint64_t n, uint64_t of
     if (off + n <= fs->kernel_size) {
       return OverwriteInPlace(fs, src, n, off);  // Overwrites still served in user space.
     }
-    ssize_t rc = kfs_->Pwrite(fs->kernel_fd, src, n, off);
-    if (rc > 0) {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->kernel_size = std::max(fs->kernel_size, off + static_cast<uint64_t>(rc));
-      fs->size = std::max(fs->size, fs->kernel_size);
-    }
-    return rc;
+    return WriteThrough(fs, src, n, off);
   }
 
   // Writing past EOF with a gap: rare; delegate to the kernel for correctness.
@@ -1130,14 +1071,7 @@ ssize_t SplitFs::WriteAt(FileState* fs, const void* buf, uint64_t n, uint64_t of
     if (prc != 0) {
       return prc;
     }
-    ssize_t rc = kfs_->Pwrite(fs->kernel_fd, src, n, off);
-    if (rc > 0) {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->kernel_size = std::max(fs->kernel_size, off + static_cast<uint64_t>(rc));
-      fs->size = std::max(fs->size, fs->kernel_size);
-      fs->metadata_dirty = true;
-    }
-    return rc;
+    return WriteThrough(fs, src, n, off);
   }
 
   uint64_t size = size_of();
@@ -1160,15 +1094,12 @@ ssize_t SplitFs::WriteAt(FileState* fs, const void* buf, uint64_t n, uint64_t of
       continue;
     }
     // Segment until the next staged range.
-    uint64_t seg_end = ow_end;
+    uint64_t next_staged;
     {
       std::lock_guard<std::mutex> meta(fs->meta_mu);
-      auto sit = fs->staged.upper_bound(cur);
-      if (sit != fs->staged.end()) {
-        seg_end = std::min(seg_end, sit->first);
-      }
+      next_staged = FindStaged(fs, cur).next_start;
     }
-    uint64_t span = seg_end - cur;
+    uint64_t span = std::min(ow_end, next_staged) - cur;
     if (opts_.mode == Mode::kStrict) {
       // Strict: copy-on-write via staging + op log; published atomically on fsync.
       ctx_->ChargeCpu(ctx_->model.usplit_append_cpu_ns);
@@ -1207,79 +1138,64 @@ ssize_t SplitFs::WriteAt(FileState* fs, const void* buf, uint64_t n, uint64_t of
   return static_cast<ssize_t>(n);
 }
 
+ssize_t SplitFs::WriteThrough(FileState* fs, const uint8_t* src, uint64_t n,
+                              uint64_t off) {
+  ssize_t rc = kfs_->Pwrite(fs->kernel_fd, src, n, off);
+  if (rc > 0) {
+    std::lock_guard<std::mutex> meta(fs->meta_mu);
+    fs->kernel_size = std::max(fs->kernel_size, off + static_cast<uint64_t>(rc));
+    fs->size = std::max(fs->size, fs->kernel_size);
+    // The grown size sits in K-Split's running transaction: the next fsync must
+    // commit it, or the acknowledged bytes vanish at a crash.
+    fs->metadata_dirty = true;
+  }
+  return rc;
+}
+
 // --- Publishing staged data (relink) --------------------------------------------------------
 
 int SplitFs::RelinkRun(FileState* fs, uint64_t file_off, const StagedRange& r) {
-  // Layout:  [ head partial | aligned core ... | tail partial ]
-  // Head/tail partial blocks are copied (the paper's "SplitFS copies the partial
-  // data"); the aligned core moves by extent swap with zero data movement.
-  //
   // Deadlock-freedom: the caller holds this file's whole-file range lock (a U-Split
   // lock); the relink ioctl below takes the kernel's two inode locks by ascending
   // ino internally and returns with none held. Concurrent publishers relinking out
   // of a shared staging file therefore order the same {staging, target} pairs
   // identically, and no U-Split lock is ever acquired under a K-Split lock.
-  uint64_t s = file_off;
-  uint64_t e = file_off + r.alloc.len;
-  uint64_t st = r.alloc.staging_off;
-  pmem::Device* dev = kfs_->device();
-
-  uint64_t head_end = std::min(e, common::AlignUp(s, kBlockSize));
-  if (s % kBlockSize != 0) {
-    uint64_t head_len = head_end - s;
-    SPLITFS_CHECK(head_len <= g_scratch.size());
-    dev->Load(r.alloc.dev_off, g_scratch.data(), head_len, /*sequential=*/true,
-              sim::PmReadKind::kStaging);
-    ssize_t rc = kfs_->Pwrite(fs->kernel_fd, g_scratch.data(), head_len, s);
-    if (rc < 0) {
-      return static_cast<int>(rc);
+  const uint64_t end = file_off + r.alloc.len;
+  const RunLayout lay = LayOutRun(file_off, r.alloc.len, r.alloc.staging_off,
+                                  r.is_overwrite, [fs] { return fs->kernel_size; });
+  // Copies [from, to) of the run from its staging bytes through the kernel.
+  auto copy = [&](uint64_t from, uint64_t to) -> int {
+    if (from == to) {
+      return 0;
     }
-    s = head_end;
-    st = common::AlignUp(st, kBlockSize);
+    SPLITFS_CHECK(to - from <= g_scratch.size());
+    kfs_->device()->Load(r.alloc.dev_off + (from - file_off), g_scratch.data(), to - from,
+                         /*sequential=*/true, sim::PmReadKind::kStaging);
+    ssize_t rc = kfs_->Pwrite(fs->kernel_fd, g_scratch.data(), to - from, from);
+    return rc < 0 ? static_cast<int>(rc) : 0;
+  };
+  int rc = copy(file_off, lay.head_end);
+  if (rc != 0) {
+    return rc;
   }
-  if (s >= e) {
-    return 0;
-  }
-
-  // Appends may relink their final partial block whole (nothing lives past EOF);
-  // overwrites must not clobber target bytes beyond the staged range.
-  uint64_t core_end = e;
-  bool tail_copy = false;
-  if (r.is_overwrite && e % kBlockSize != 0 && e < fs->kernel_size) {
-    core_end = common::AlignDown(e, kBlockSize);
-    tail_copy = true;
-  }
-
-  if (core_end > s) {
-    uint64_t aligned_len = common::AlignUp(core_end - s, kBlockSize);
-    int rc = kfs_->SwapExtentsForRelink(r.alloc.staging_fd, st, fs->kernel_fd, s,
-                                        aligned_len, /*new_dst_size=*/e,
-                                        /*defer_commit=*/true);
+  if (lay.core_len > 0) {
+    rc = kfs_->SwapExtentsForRelink(r.alloc.staging_fd, lay.core_src, fs->kernel_fd,
+                                    lay.head_end, lay.core_len, /*new_dst_size=*/end,
+                                    /*defer_commit=*/true);
     if (rc != 0) {
       return rc;
     }
     relinks_.fetch_add(1, std::memory_order_relaxed);
     // Retain the memory mapping: the physical blocks didn't move, so the staging
     // region's mapping becomes the target file's mapping at zero cost (Figure 2).
-    uint64_t core_dev_off = r.alloc.dev_off + (s - file_off);
-    mmaps_.ReplaceRange(fs->ino, s, core_dev_off, aligned_len);
+    mmaps_.ReplaceRange(fs->ino, lay.head_end,
+                        r.alloc.dev_off + (lay.head_end - file_off), lay.core_len);
     // The tail block moved whole: the pool must not hand out its remainder.
     if (staging_) {
       staging_->MarkRelinked(r.alloc.staging_ino, r.alloc.staging_off + r.alloc.len);
     }
   }
-
-  if (tail_copy) {
-    uint64_t tail_len = e - core_end;
-    SPLITFS_CHECK(tail_len <= g_scratch.size());
-    dev->Load(r.alloc.dev_off + (core_end - file_off), g_scratch.data(), tail_len,
-              /*sequential=*/true, sim::PmReadKind::kStaging);
-    ssize_t rc = kfs_->Pwrite(fs->kernel_fd, g_scratch.data(), tail_len, core_end);
-    if (rc < 0) {
-      return static_cast<int>(rc);
-    }
-  }
-  return 0;
+  return copy(lay.core_end, end);
 }
 
 int SplitFs::CopyStagedRun(FileState* fs, const StagedRange& r) {
@@ -1301,13 +1217,22 @@ int SplitFs::CopyStagedRun(FileState* fs, const StagedRange& r) {
   return 0;
 }
 
-int SplitFs::PublishStaged(FileState* fs, bool log_done, bool defer_commit) {
+int SplitFs::PublishStaged(FileState* fs, bool log_done) {
   {
     std::lock_guard<std::mutex> meta(fs->meta_mu);
     if (fs->staged.empty()) {
       return 0;
     }
   }
+  int rc = RelinkStaged(fs, log_done);
+  if (rc != 0) {
+    return rc;
+  }
+  SealPublished({&fs, 1}, log_done);
+  return 0;
+}
+
+int SplitFs::RelinkStaged(FileState* fs, bool log_done) {
   obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
                        "publish", "splitfs.publish", "ino", fs->ino);
   analysis::ScopedLintSite lint("splitfs.publish");
@@ -1365,33 +1290,40 @@ int SplitFs::PublishStaged(FileState* fs, bool log_done, bool defer_commit) {
       fs->staged.erase(file_off);
     }
   }
-  if (defer_commit) {
-    // PublishBatch commits once for the whole batch and finishes the bookkeeping
-    // below itself, in the order its header comment requires.
-    return 0;
-  }
+  return 0;
+}
+
+void SplitFs::SealPublished(std::span<FileState* const> files, bool log_done) {
   if (opts_.enable_relink) {
-    // One journal commit covers every relink of this publish (jbd2 batches handles).
+    // One journal commit covers every relink of these files (jbd2 batches handles).
     // Each deferred relink released its inode locks and journal handle before
     // returning, so this commit — whose seal takes the journal barrier exclusively
     // and waits out in-flight handles — can never deadlock against our own relinks;
     // by the time CommitJournal returns, the sealed tid has fully written out.
     kfs_->CommitJournal(/*fsync_barrier=*/false, tag_.c_str());
   }
-  {
-    std::lock_guard<std::mutex> meta(fs->meta_mu);
-    fs->metadata_dirty = false;  // The commit covered the running transaction too.
+  // Every dirty count drops before any kRelinkDone append. A done append against a
+  // full log recurses into CheckpointForFull, which spins until the dirty count
+  // reaches zero — files later in `files` (still locked by the caller) must
+  // already be off it, or that spin never terminates.
+  for (FileState* fs : files) {
+    {
+      std::lock_guard<std::mutex> meta(fs->meta_mu);
+      fs->metadata_dirty = false;  // The commit covered the running transaction too.
+    }
+    dirty_files_.fetch_sub(1, std::memory_order_release);
   }
-  dirty_files_.fetch_sub(1, std::memory_order_release);
-  if (log_done && opts_.async_relink && oplog_ != nullptr) {
-    // Seal the publish: every data entry of this inode at or below this seq is now
-    // relinked and committed, so replay skips it. Without the seal, a stale intent
-    // could resurrect bytes a later unlogged in-place overwrite replaced. Logged
-    // after the dirty-count decrement: a log-full checkpoint spinning for zero can
-    // then finish even while this append blocks on the checkpoint mutex.
+  if (!log_done || !opts_.async_relink || oplog_ == nullptr) {
+    return;
+  }
+  // Seal each publish while the caller still holds the file's lock, so no new intent
+  // for the ino can precede its done record: every data entry of the inode at or
+  // below this seq is relinked and committed, and replay skips it. Without the seal,
+  // a stale intent could resurrect bytes a later unlogged in-place overwrite
+  // replaced.
+  for (FileState* fs : files) {
     LogMetaOp(LogOp::kRelinkDone, fs->ino, 0, fs);
   }
-  return 0;
 }
 
 // --- Async relink publication ---------------------------------------------------------
@@ -1530,11 +1462,19 @@ void SplitFs::EnqueuePublish(FileRef fs) {
 }
 
 std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) {
-  // Phase 1: lock + relink each file, deferring the journal commit. Locks are held
-  // across the shared commit — a file's relinks must not become visible as
+  // Lock + relink each file, then seal them all under one journal commit. Locks are
+  // held across the shared commit — a file's relinks must not become visible as
   // "published" (pending cleared, dirty count dropped) before they are durable.
+  auto finish = [this](FileState* fs) {
+    {
+      std::lock_guard<std::mutex> meta(fs->meta_mu);
+      fs->publish_pending = false;
+    }
+    fs->rlock.UnlockExclusive(0, RangeLock::kWholeFile);
+    async_publishes_.fetch_add(1, std::memory_order_relaxed);
+  };
   std::vector<FileRef> busy;
-  std::vector<FileRef> locked;
+  std::vector<FileState*> relinked;  // Still whole-file locked; `batch` owns them.
   for (FileRef& fs : batch) {
     if (!fs->rlock.TryLockExclusive(0, RangeLock::kWholeFile)) {
       // Contended. A lock holder that is itself blocked (log-full checkpoint
@@ -1555,55 +1495,23 @@ std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) 
       std::lock_guard<std::mutex> meta(fs->meta_mu);
       skip = fs->defunct || fs->staged.empty();
     }
-    int rc = 0;
-    if (!skip) {
-      rc = PublishStaged(fs.get(), /*log_done=*/true, /*defer_commit=*/true);
-      if (rc != 0) {
-        publish_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
+    int rc = skip ? 0 : RelinkStaged(fs.get(), /*log_done=*/true);
+    if (rc != 0) {
+      publish_errors_.fetch_add(1, std::memory_order_relaxed);
     }
     if (skip || rc != 0) {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->publish_pending = false;
-      fs->rlock.UnlockExclusive(0, RangeLock::kWholeFile);
-      async_publishes_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+      finish(fs.get());
+    } else {
+      relinked.push_back(fs.get());
     }
-    locked.push_back(std::move(fs));
   }
-  if (locked.empty()) {
-    return busy;
+  if (!relinked.empty()) {
+    // ONE commit seals every batched file's relinks — the amortization the batch
+    // buys.
+    SealPublished(relinked, /*log_done=*/true);
   }
-  // Phase 2: ONE commit seals every batched file's relinks — the amortization the
-  // batch buys. Safe for the same reason as the per-file commit: every deferred
-  // relink dropped its journal handle before returning.
-  if (opts_.enable_relink) {
-    kfs_->CommitJournal(/*fsync_barrier=*/false, tag_.c_str());
-  }
-  // Phase 3: all dirty counts drop BEFORE any kRelinkDone append. A done append
-  // against a full log recurses into CheckpointForFull, which spins until the
-  // dirty count reaches zero — later batch files we still hold locked must
-  // already be off it, or that spin never terminates.
-  for (FileRef& fs : locked) {
-    {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->metadata_dirty = false;  // The shared commit covered the running tx too.
-    }
-    dirty_files_.fetch_sub(1, std::memory_order_release);
-  }
-  // Phase 4: seal each file's intents while its lock is still held — no new intent
-  // for the ino can be appended before its done record, so a post-crash replay of a
-  // fresh log never resurrects these runs.
-  for (FileRef& fs : locked) {
-    if (opts_.async_relink && oplog_ != nullptr) {
-      LogMetaOp(LogOp::kRelinkDone, fs->ino, 0, fs.get());
-    }
-    {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->publish_pending = false;
-    }
-    fs->rlock.UnlockExclusive(0, RangeLock::kWholeFile);
-    async_publishes_.fetch_add(1, std::memory_order_relaxed);
+  for (FileState* fs : relinked) {
+    finish(fs);
   }
   return busy;
 }
@@ -1775,7 +1683,15 @@ int SplitFs::Ftruncate(int fd, uint64_t size) {
   if (IsDefunct(fs.get())) {
     return -EBADF;
   }
-  int rc = PublishStaged(fs.get());
+  return TruncateLocked(fs.get(), size);
+}
+
+int SplitFs::TruncateLocked(FileState* fs, uint64_t size) {
+  // Publish-then-truncate: simply discarding the staged ranges would leave their
+  // op-log append entries valid and the staged blocks in place, so strict-mode crash
+  // recovery would resurrect the truncated data. Publishing first turns those
+  // staging ranges into holes replay skips.
+  int rc = PublishStaged(fs);
   if (rc != 0) {
     return rc;
   }
@@ -1792,13 +1708,21 @@ int SplitFs::Ftruncate(int fd, uint64_t size) {
     fs->metadata_dirty = true;
   }
   if (size < old_size) {
-    mmaps_.InvalidateRange(fs->ino, size, old_size - size);
+    // Drop the mappings of exactly the blocks K-Split frees: those past the new
+    // size's block end, up to the old size's. A mapping left over any of them would
+    // route a later in-place overwrite into a freed block. The block holding the new
+    // size stays allocated, so its mapping stays valid.
+    uint64_t freed_from = common::AlignUp(size, kBlockSize);
+    mmaps_.InvalidateRange(fs->ino, freed_from,
+                           common::AlignUp(old_size, kBlockSize) - freed_from);
   }
   if (oplog_ != nullptr) {
-    // See Open(O_TRUNC): async configurations need the ordering record too.
-    LogMetaOp(LogOp::kTruncate, fs->ino, size, fs.get());
+    // Logged in strict mode *and* async configurations: replay must know the
+    // truncate ordered after any intent entries, or their partial-block head
+    // copies would resurrect truncated bytes.
+    LogMetaOp(LogOp::kTruncate, fs->ino, size, fs);
   }
-  MakeMetadataSynchronous(fs.get());
+  MakeMetadataSynchronous(fs);
   return 0;
 }
 
@@ -1881,23 +1805,26 @@ bool SplitFs::LogDataOp(LogOp op, FileState* held, uint64_t file_off,
 bool SplitFs::StagedRunStillOurs(FileState* fs, uint64_t file_off,
                                  const StagingAlloc& a) {
   std::lock_guard<std::mutex> meta(fs->meta_mu);
-  if (fs->defunct) {
-    return false;
-  }
-  auto it = fs->staged.upper_bound(file_off);
-  if (it == fs->staged.begin()) {
-    return false;
-  }
-  --it;
-  const StagedRange& r = it->second;
-  if (file_off >= it->first + r.alloc.len) {
+  const StagedRange* r = fs->defunct ? nullptr : FindStaged(fs, file_off).covering;
+  if (r == nullptr) {
     return false;
   }
   // Identity, not just coverage: the run must still be backed by the same staging
   // bytes (a publish + re-stage cycle could cover the offsets with fresh blocks).
-  uint64_t delta = file_off - it->first;
-  return r.alloc.staging_ino == a.staging_ino &&
-         r.alloc.staging_off + delta == a.staging_off && delta + a.len <= r.alloc.len;
+  uint64_t delta = file_off - r->file_off;
+  return r->alloc.staging_ino == a.staging_ino &&
+         r->alloc.staging_off + delta == a.staging_off && delta + a.len <= r->alloc.len;
+}
+
+SplitFs::StagedLookup SplitFs::FindStaged(FileState* fs, uint64_t off) {
+  auto next = fs->staged.upper_bound(off);
+  if (next != fs->staged.begin()) {
+    StagedRange& prev = std::prev(next)->second;
+    if (off < prev.file_off + prev.alloc.len) {
+      return {&prev, UINT64_MAX};
+    }
+  }
+  return {nullptr, next == fs->staged.end() ? UINT64_MAX : next->first};
 }
 
 bool SplitFs::TryEnterRangeWrite() {
@@ -2166,50 +2093,32 @@ int SplitFs::Recover() {
       kfs_->Close(dst_fd);
       continue;
     }
-    uint64_t s = e.file_off;
-    uint64_t end = e.file_off + e.len;
-    uint64_t st = e.staging_off;
-    uint64_t src_base = e.staging_off;  // Staging offset of the run's first byte.
-    // Head partial block: copy through the kernel.
-    uint64_t head_end = std::min(end, common::AlignUp(s, kBlockSize));
-    if (s % kBlockSize != 0) {
-      uint64_t head_len = head_end - s;
-      std::vector<uint8_t> buf(head_len);
-      if (kfs_->Pread(src_fd, buf.data(), head_len, st) ==
-          static_cast<ssize_t>(head_len)) {
-        kfs_->Pwrite(dst_fd, buf.data(), head_len, s);
-      }
-      s = head_end;
-      st = common::AlignUp(st, kBlockSize);
-    }
-    // Overwrite runs mirror RelinkRun's tail handling: an unaligned tail strictly
-    // inside the recovered file is copied, never relinked whole — relinking would
-    // clobber the settled bytes that share its block. Appends may move the final
-    // partial block whole (nothing lives past EOF).
-    bool is_overwrite =
+    const uint64_t end = e.file_off + e.len;
+    const bool is_overwrite =
         e.op == LogOp::kOverwrite || e.op == LogOp::kRelinkIntentOverwrite;
-    uint64_t core_end = end;
-    bool tail_copy = false;
-    vfs::StatBuf dst_st;
-    if (is_overwrite && end % kBlockSize != 0 && kfs_->Fstat(dst_fd, &dst_st) == 0 &&
-        end < dst_st.size) {
-      core_end = common::AlignDown(end, kBlockSize);
-      tail_copy = true;
-    }
-    if (s < core_end) {
-      uint64_t aligned_len = common::AlignUp(core_end - s, kBlockSize);
-      int rc = kfs_->SwapExtentsForRelink(src_fd, st, dst_fd, s, aligned_len,
-                                          /*new_dst_size=*/end);
+    const RunLayout lay = LayOutRun(e.file_off, e.len, e.staging_off, is_overwrite, [&] {
+      vfs::StatBuf dst_st;
+      return kfs_->Fstat(dst_fd, &dst_st) == 0 ? dst_st.size : 0;
+    });
+    // Partial blocks are copied from the staging file through the kernel.
+    auto copy = [&](uint64_t from, uint64_t to) {
+      if (from == to) {
+        return;
+      }
+      std::vector<uint8_t> buf(to - from);
+      uint64_t src_off = e.staging_off + (from - e.file_off);
+      if (kfs_->Pread(src_fd, buf.data(), buf.size(), src_off) ==
+          static_cast<ssize_t>(buf.size())) {
+        kfs_->Pwrite(dst_fd, buf.data(), buf.size(), from);
+      }
+    };
+    copy(e.file_off, lay.head_end);
+    if (lay.core_len > 0) {
+      int rc = kfs_->SwapExtentsForRelink(src_fd, lay.core_src, dst_fd, lay.head_end,
+                                          lay.core_len, /*new_dst_size=*/end);
       (void)rc;  // -EINVAL == already relinked before the crash: idempotent skip.
     }
-    if (tail_copy && core_end >= s) {
-      uint64_t tail_len = end - core_end;
-      std::vector<uint8_t> buf(tail_len);
-      if (kfs_->Pread(src_fd, buf.data(), tail_len, src_base + (core_end - e.file_off)) ==
-          static_cast<ssize_t>(tail_len)) {
-        kfs_->Pwrite(dst_fd, buf.data(), tail_len, core_end);
-      }
-    }
+    copy(lay.core_end, end);
     kfs_->Close(src_fd);
     kfs_->Close(dst_fd);
   }
@@ -2258,7 +2167,17 @@ std::unique_ptr<SplitFs> SplitFs::CloneForFork(const std::string& child_tag) con
   return child;
 }
 
-std::vector<uint8_t> SplitFs::SaveForExec() const {
+std::vector<uint8_t> SplitFs::SaveForExec() {
+  // exec() discards the address space and every staged run with it, so each staged
+  // file is published under its whole-file lock first, as Close does: the blob then
+  // records sizes whose bytes are all on K-Split.
+  std::vector<FileRef> files = SnapshotFiles();
+  for (const FileRef& fs : files) {
+    RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
+    if (!IsDefunct(fs.get())) {
+      SPLITFS_CHECK_OK(PublishStaged(fs.get()));
+    }
+  }
   // Serialize open-file state to the shm blob (§3.5: file named by pid on /dev/shm).
   // Layout per record: ino, size, kernel_size, path.
   std::vector<uint8_t> blob;
@@ -2267,7 +2186,6 @@ std::vector<uint8_t> SplitFs::SaveForExec() const {
       blob.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
   };
-  std::vector<FileRef> files = SnapshotFiles();
   put64(files.size());
   for (const FileRef& fs : files) {
     std::lock_guard<std::mutex> meta(fs->meta_mu);

@@ -68,6 +68,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -134,8 +135,9 @@ class SplitFs : public vfs::FileSystem {
   // fork(): the child inherits the library state (copied address space).
   std::unique_ptr<SplitFs> CloneForFork(const std::string& child_tag) const;
   // execve(): open-file state is serialized to a shm file keyed by pid and restored
-  // after the exec replaces the address space.
-  std::vector<uint8_t> SaveForExec() const;
+  // after the exec replaces the address space. Staged runs do not survive the exec,
+  // so SaveForExec publishes every staged file first.
+  std::vector<uint8_t> SaveForExec();
   static std::unique_ptr<SplitFs> RestoreAfterExec(ext4sim::Ext4Dax* kfs, Options opts,
                                                    const std::string& instance_tag,
                                                    const std::vector<uint8_t>& blob);
@@ -283,11 +285,11 @@ class SplitFs : public vfs::FileSystem {
 
   FileRef FileOf(vfs::Ino ino) const;
   vfs::Ino LookupPath(const std::string& path) const;
-  // Tears down the cached state of a file displaced by rename (same teardown as
-  // Unlink): staged bytes return to the pool, the state goes defunct, mappings are
-  // invalidated, the kernel fd closes. No-op if `displaced` has no cached state or
-  // its state no longer names `path`.
-  void TeardownDisplacedState(const std::string& path, vfs::Ino displaced);
+  // Tears down the cached state of a file that unlink deleted or rename displaced:
+  // the state leaves the file shards, and under its whole-file lock staged bytes
+  // return to the pool and the state goes defunct; then mappings are invalidated and
+  // the kernel fd closes. The caller has already dropped the path-cache entry.
+  void TearDown(FileState* fs);
   // State behind a descriptor (and optionally its open-file description).
   FileRef StateOf(int fd, std::shared_ptr<vfs::OpenFile>* of_out = nullptr) const;
   std::vector<FileRef> SnapshotFiles() const;
@@ -322,6 +324,15 @@ class SplitFs : public vfs::FileSystem {
   // durable or moot — the entry must NOT be re-logged (see LogDataOp).
   bool StagedRunStillOurs(FileState* fs, uint64_t file_off, const StagingAlloc& a);
 
+  // File offset `off` looked up in the staged set: the run covering it, or (when
+  // none does) the start of the next run, UINT64_MAX if there is none. Caller holds
+  // fs->meta_mu.
+  struct StagedLookup {
+    StagedRange* covering = nullptr;
+    uint64_t next_start = UINT64_MAX;
+  };
+  static StagedLookup FindStaged(FileState* fs, uint64_t off);
+
   // Acquires the right range lock for a write and runs WriteAt: exclusive on
   // [off, off+n) for writes that stay inside the current size (in-place overwrites;
   // in strict mode, gate-registered COW overwrites with per-range log entries), the
@@ -341,18 +352,34 @@ class SplitFs : public vfs::FileSystem {
   // from the front, 0 if the front of the range is not staged.
   uint64_t OverwriteStagedOverlap(FileState* fs, const uint8_t* buf, uint64_t n,
                                   uint64_t off);
+  // Writes [off, off+n) through the kernel — the no-staging ablation's appends and
+  // gap writes past EOF — and adopts the grown size, marking the file metadata-dirty
+  // so the next fsync commits the size change.
+  ssize_t WriteThrough(FileState* fs, const uint8_t* src, uint64_t n, uint64_t off);
+  // Ftruncate and Open(O_TRUNC): publishes the staged set, truncates K-Split, drops
+  // the mappings of the blocks it frees, logs the truncate (op log present) and, in
+  // sync/strict mode, commits it. Caller holds the whole-file lock exclusively and
+  // has checked the state is not defunct.
+  int TruncateLocked(FileState* fs, uint64_t size);
 
-  // Publishes all staged ranges of `fs` into the target file (relink or, with the
-  // Figure 3 ablation toggle off, copy). Returns 0 or -errno. Caller holds the
+  // Publishes all staged ranges of `fs` into the target file: RelinkStaged, then
+  // SealPublished for this one file. Returns 0 or -errno. Caller holds the
   // whole-file lock exclusively. `log_done` appends the async-relink publish seal
   // (kRelinkDone); the log-full checkpoint passes false — it resets the log right
   // after, which retires every intent wholesale, and a done append against the
   // still-full log would recurse into the checkpoint and deadlock on its mutex.
-  // `defer_commit` stops after the relink loop: the caller (PublishBatch) issues
-  // one journal commit covering several files and then finishes each file's
-  // bookkeeping itself — the dirty count must not drop before that shared commit,
-  // or a log reset could retire intents whose relinks are not yet durable.
-  int PublishStaged(FileState* fs, bool log_done = true, bool defer_commit = false);
+  int PublishStaged(FileState* fs, bool log_done = true);
+  // The relink loop of a publish: relinks (or, with the Figure 3 ablation toggle
+  // off, copies) every staged run of `fs` into the target, erasing each as it
+  // publishes. Leaves the journal commit and the dirty count to SealPublished — the
+  // count must not drop before the commit, or a log reset could retire intents whose
+  // relinks are not yet durable. Caller holds the whole-file lock exclusively.
+  // `log_done` false marks a checkpoint publish, which fences first in every mode.
+  int RelinkStaged(FileState* fs, bool log_done);
+  // Seals a publish of `files`, each relinked by RelinkStaged and still whole-file
+  // locked by the caller: one journal commit, then every dirty count drops, then
+  // (with `log_done`, async relink) one kRelinkDone record per file.
+  void SealPublished(std::span<FileState* const> files, bool log_done);
 
   // --- Async relink publication -----------------------------------------------------
   // fsync/close entry point; caller holds the whole-file lock exclusively. Sync
@@ -374,14 +401,11 @@ class SplitFs : public vfs::FileSystem {
   // whole-file lock exclusively.
   int LogRelinkIntents(FileState* fs);
   void EnqueuePublish(FileRef fs);
-  // Publishes `batch` under ONE journal commit:
-  // per-file relink loops run with defer_commit, then a single CommitJournal seals
-  // every file's relinks, then all dirty counts drop before any kRelinkDone append
-  // (a done append can recurse into the log-full checkpoint, which spins for a zero
-  // dirty count — later batch files must already be off it). Files whose whole-file
-  // lock is contended are returned for requeue, unless their staged set is already
-  // empty (the lock holder published them) — then the stale pending flag is cleared
-  // and they are dropped.
+  // Publishes `batch` under ONE journal commit: RelinkStaged per file, then one
+  // SealPublished for every relinked file, whose locks are held until it returns.
+  // Files whose whole-file lock is contended are returned for requeue, unless their
+  // staged set is already empty (the lock holder published them) — then the stale
+  // pending flag is cleared and they are dropped.
   std::vector<FileRef> PublishBatch(std::vector<FileRef> batch);
   // Teardown: stops enqueues, fences this instance's passes out of the publisher
   // pool, then publishes whatever is still queued on the calling thread.

@@ -68,8 +68,6 @@ class BlockAllocator {
   // Largest contiguous free run; tests use this to assert fragmentation behaviour.
   uint64_t LargestFreeRun() const;
 
-  size_t Groups() const { return n_groups_; }
-
  private:
   struct alignas(64) Group {
     uint64_t lo = 0;      // First block index (word-aligned) owned by this group.

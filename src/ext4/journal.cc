@@ -152,12 +152,6 @@ void Journal::EnsureLogSpaceLocked(uint64_t needed_bytes) {
         ++written_back;
       }
     }
-    for (uint64_t i = 0; i < tx.anon_blocks; ++i) {
-      // Standalone commits log blocks with no identity; every copy is live.
-      dev_->StoreNt(journal_start_, scratch.data(), kBlockSize,
-                    sim::PmWriteKind::kMetadata);
-      ++written_back;
-    }
     reclaimed += tx.blocks * kBlockSize;
   }
   // Advance the log tail durably (jbd2 updates the journal superblock), then
@@ -173,14 +167,13 @@ void Journal::EnsureLogSpaceLocked(uint64_t needed_bytes) {
                   ctx_->clock.Now() - t0);
 }
 
-void Journal::ChargeCommitIo(const std::set<uint64_t>* dirty_ids, size_t n_anon_blocks) {
+void Journal::ChargeCommitIo(const std::set<uint64_t>& dirty_ids) {
   // JBD2 writes: one descriptor block, each logged metadata block, one commit record.
   // All land in the journal region of PM; the journal area is written with real bytes
   // so wear accounting and the write-amplification comparisons are honest.
   static thread_local std::array<uint8_t, kBlockSize> scratch{};
   analysis::ScopedLintSite lint("journal.commit");
-  size_t n_meta_blocks = (dirty_ids != nullptr ? dirty_ids->size() : 0) + n_anon_blocks;
-  size_t total_blocks = n_meta_blocks + 2;
+  size_t total_blocks = dirty_ids.size() + 2;
   EnsureLogSpaceLocked(total_blocks * kBlockSize);
   auto store_block = [this]() {
     if (write_cursor_ + kBlockSize > journal_bytes_) {
@@ -201,7 +194,7 @@ void Journal::ChargeCommitIo(const std::set<uint64_t>* dirty_ids, size_t n_anon_
   }
   if (!legacy_commit_order_for_test_) {
     // JBD2's ordering: fence the payload, then store the commit record, then fence
-    // it. The payload fence persists n_meta_blocks+1 nt-stores (pm_store_fence_ns);
+    // it. The payload fence persists dirty_ids.size()+1 nt-stores (pm_store_fence_ns);
     // the old order issued both fences after the record, leaving the second one
     // empty (fence_ns) and the record ordered *with* its payload, not after it.
     dev_->Fence();
@@ -224,12 +217,9 @@ void Journal::ChargeCommitIo(const std::set<uint64_t>* dirty_ids, size_t n_anon_
   // The transaction now occupies log space until checkpoint writeback retires it.
   LoggedTx logged;
   logged.blocks = total_blocks;
-  logged.anon_blocks = n_anon_blocks;
-  if (dirty_ids != nullptr) {
-    logged.ids.assign(dirty_ids->begin(), dirty_ids->end());
-    for (uint64_t id : logged.ids) {
-      ++live_logged_[id];
-    }
+  logged.ids.assign(dirty_ids.begin(), dirty_ids.end());
+  for (uint64_t id : logged.ids) {
+    ++live_logged_[id];
   }
   checkpoint_queue_.push_back(std::move(logged));
   log_used_bytes_.fetch_add(total_blocks * kBlockSize, std::memory_order_acq_rel);
@@ -417,7 +407,7 @@ void Journal::CommitTid(uint64_t target, bool fsync_barrier) {
     if (fsync_barrier) {
       ctx_->ChargeCpu(ctx_->model.ext4_fsync_barrier_ns);
     }
-    ChargeCommitIo(&committing_->dirty, 0);
+    ChargeCommitIo(committing_->dirty);
   }
 
   // The commit record is durable: drop the undos, then run the deferred actions.
@@ -456,18 +446,6 @@ void Journal::CommitTid(uint64_t target, bool fsync_barrier) {
     std::lock_guard<std::mutex> wl(wait_mu_);
   }
   commit_cv_.notify_all();
-}
-
-void Journal::CommitStandalone(size_t n_meta_blocks) {
-  // Serializes on the pipeline slot (the journal region has one write cursor) but
-  // bypasses the transaction stream entirely.
-  std::lock_guard<std::mutex> pipeline(commit_mu_);
-  analysis::ScopedLockNote pipeline_note(analysis::LockWitness::Global(), PipelineSite());
-  sim::ScopedResourceTime commit_time(&commit_stamp_, &ctx_->clock);
-  obs::ReportWait(&ctx_->obs, &ctx_->clock, "journal.pipeline_slot",
-                  commit_time.waited_ns());
-  obs::ScopedSpan span(&ctx_->obs.tracer, &ctx_->clock, "journal", "journal.standalone");
-  ChargeCommitIo(nullptr, n_meta_blocks);
 }
 
 void Journal::RecoverDiscardRunning() {

@@ -207,13 +207,6 @@ class Journal {
   // tenant.<id>.commit_service_ns). 0 for never-seen tags.
   uint64_t AttributedCommitServiceNs(const std::string& who) const;
 
-  // Commits a self-contained transaction that dirtied `n_meta_blocks` blocks (the
-  // standalone relink ioctl shape). The caller guarantees the mutations are
-  // consistent as a unit, so no undos are kept. Takes the pipeline slot (commit_mu_)
-  // so its journal writes serialize with an in-flight pipelined writeout, but never
-  // touches the handle barrier or the running transaction.
-  void CommitStandalone(size_t n_meta_blocks);
-
   // Crash recovery: discard everything that never reached its commit record, newest
   // mutation first — the running transaction's undos, then (if a crash cut a
   // writeout short) the unsealed committing transaction's. Takes the pipeline slot
@@ -306,20 +299,17 @@ class Journal {
   };
 
   // One logged-but-not-checkpointed transaction: how much journal space it pins and
-  // which metadata blocks its log copies cover (for writeback dedup). Standalone
-  // commits log `anon_blocks` with no id; those are always written back.
+  // which metadata blocks its log copies cover (for writeback dedup).
   struct LoggedTx {
     uint64_t blocks = 0;
     std::vector<uint64_t> ids;
-    uint64_t anon_blocks = 0;
   };
 
   // Writes the descriptor/metadata/commit-record blocks for one transaction into the
   // journal region, reserving space first (checkpointing if the log is full) and
-  // retiring the transaction into the checkpoint queue after. `dirty_ids` may be
-  // null (standalone commit: `n_anon_blocks` anonymous metadata blocks). Caller
-  // holds commit_mu_.
-  void ChargeCommitIo(const std::set<uint64_t>* dirty_ids, size_t n_anon_blocks);
+  // retiring the transaction into the checkpoint queue after. Caller holds
+  // commit_mu_.
+  void ChargeCommitIo(const std::set<uint64_t>& dirty_ids);
   // Checkpoint writeback: pops oldest logged transactions and writes back every
   // block whose newest logged copy they hold until `needed_bytes` (plus slack) fit.
   // Caller holds commit_mu_.

@@ -18,7 +18,7 @@ constexpr uint64_t kLogRegionBlocks = 4096;  // 16 MB of per-inode log space.
 Nova::Nova(pmem::Device* dev, bool strict)
     : PmFsBase(dev, kLogRegionBlocks), strict_(strict) {}
 
-void Nova::AppendLogEntry(BaseInode* inode) {
+void Nova::AppendLogEntry() {
   // Log entry (one cache line), fence, then the persisted tail pointer (second line),
   // fence again: the "at least two cache lines and two fences" of §3.3.
   static const std::array<uint8_t, kCacheLineSize> entry{};
@@ -115,7 +115,7 @@ ssize_t Nova::WriteData(BaseInode* inode, const void* buf, uint64_t n, uint64_t 
     // Crash ordering: the COW blocks persist at the log entry's fences, and only
     // then does the mapping adopt them — a crash mid-operation must leave the old
     // (durable) blocks reachable, never a fresh block that might not have drained.
-    AppendLogEntry(inode);  // write entry + tail, two fences.
+    AppendLogEntry();  // write entry + tail, two fences.
     InstallCow(inode, off, n, fresh);
     if (extends) {
       inode->size = off + n;
@@ -129,7 +129,7 @@ ssize_t Nova::WriteData(BaseInode* inode, const void* buf, uint64_t n, uint64_t 
     if (rc < 0) {
       return rc;
     }
-    AppendLogEntry(inode);  // write entry + tail, two fences.
+    AppendLogEntry();  // write entry + tail, two fences.
   }
   ctx_->ChargeCpu(ctx_->model.nova_mem_bookkeep_ns);  // DRAM radix-tree update.
   return static_cast<ssize_t>(n);
@@ -140,20 +140,20 @@ ssize_t Nova::ReadData(BaseInode* inode, void* buf, uint64_t n, uint64_t off) {
   return ReadExtents(inode, buf, n, off);
 }
 
-int Nova::SyncFile(BaseInode* inode) {
+int Nova::SyncFile(BaseInode* /*inode*/) {
   // All operations were synchronous; nothing to flush.
   dev_->Fence();
   return 0;
 }
 
-void Nova::OnMetadataOp(BaseInode* inode, const char* what) {
+void Nova::OnMetadataOp(BaseInode* inode, const char* /*what*/) {
   // Namespace changes write a dirent log entry in the directory's log AND an inode
   // log entry (NOVA journals multi-inode ops with its lightweight journal), so a
   // metadata op costs two entry+tail appends plus setup CPU.
   ctx_->ChargeCpu(ctx_->model.nova_log_cpu_ns + ctx_->model.nova_write_path_ns / 2);
   if (inode != nullptr) {
-    AppendLogEntry(inode);
-    AppendLogEntry(inode);
+    AppendLogEntry();
+    AppendLogEntry();
   }
 }
 

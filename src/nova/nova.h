@@ -34,7 +34,7 @@ class Nova : public vfs::PmFsBase {
 
  private:
   // Appends one entry to the inode's log: entry line + tail line, two fences.
-  void AppendLogEntry(BaseInode* inode);
+  void AppendLogEntry();
   // COW write covering whole blocks; merges partial head/tail blocks from old data
   // into freshly allocated blocks. Fills `fresh_out` but does NOT install the new
   // mapping: the caller adopts it with InstallCow only after the data has persisted

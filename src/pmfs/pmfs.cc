@@ -61,13 +61,13 @@ ssize_t Pmfs::WriteData(BaseInode* inode, const void* buf, uint64_t n, uint64_t 
   return rc;
 }
 
-int Pmfs::SyncFile(BaseInode* inode) {
+int Pmfs::SyncFile(BaseInode* /*inode*/) {
   // Everything was persisted at operation time; fsync only drains the pipeline.
   dev_->Fence();
   return 0;
 }
 
-void Pmfs::OnMetadataOp(BaseInode* inode, const char* what) {
+void Pmfs::OnMetadataOp(BaseInode* /*inode*/, const char* /*what*/) {
   ctx_->ChargeCpu(ctx_->model.pmfs_btree_cpu_ns);
   JournalRecords(3);
 }

@@ -31,18 +31,6 @@ struct Context {
   // CPU-only work (DRAM bookkeeping) in kernel or user space.
   void ChargeCpu(uint64_t ns) { clock.Advance(ns); }
 
-  // A store fence not already accounted by a persisting write.
-  void ChargeFence() {
-    clock.Advance(model.fence_ns);
-    stats.AddFence();
-  }
-
-  // Minor page faults while touching `pages` freshly-mapped pages.
-  void ChargePageFaults(uint64_t pages) {
-    clock.Advance(pages * model.page_fault_ns);
-    stats.AddPageFault(pages);
-  }
-
   // Faulting one pre-populated 2 MB huge-page mapping.
   void ChargeHugePageSetup() {
     clock.Advance(model.huge_page_fault_ns);

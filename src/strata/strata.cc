@@ -191,7 +191,7 @@ ssize_t Strata::ReadData(BaseInode* inode, void* buf, uint64_t n, uint64_t off) 
   return static_cast<ssize_t>(end - off);
 }
 
-int Strata::SyncFile(BaseInode* inode) {
+int Strata::SyncFile(BaseInode* /*inode*/) {
   dev_->Fence();  // Log writes were already synchronous.
   return 0;
 }

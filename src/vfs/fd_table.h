@@ -67,25 +67,6 @@ class FdTable {
     return nfd;
   }
 
-  // Re-installs a description at a specific descriptor number. Used when restoring
-  // open-file state across execve() (SplitFS §3.5: state is carried over a shm file
-  // and descriptors must keep their numbers).
-  void Restore(int fd, Ino ino, int flags, uint64_t offset) {
-    auto of = std::make_shared<OpenFile>();
-    of->ino = ino;
-    of->flags = flags;
-    of->offset = offset;
-    {
-      Shard& s = ShardOf(fd);
-      std::lock_guard<std::shared_mutex> lock(s.mu);
-      s.map[fd] = std::move(of);
-    }
-    int cur = next_fd_.load(std::memory_order_relaxed);
-    while (cur < fd + 1 &&
-           !next_fd_.compare_exchange_weak(cur, fd + 1, std::memory_order_relaxed)) {
-    }
-  }
-
   std::shared_ptr<OpenFile> Get(int fd) const {
     if (fd < 0) {
       return nullptr;
@@ -115,18 +96,6 @@ class FdTable {
     return n;
   }
 
-  // True if any live descriptor refers to `ino` (used for unlink-while-open checks).
-  bool HasOpen(Ino ino) const {
-    for (const Shard& s : shards_) {
-      std::shared_lock<std::shared_mutex> lock(s.mu);
-      for (const auto& [fd, of] : s.map) {
-        if (of->ino == ino) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
 
  private:
   static constexpr size_t kShards = 8;

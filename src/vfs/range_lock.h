@@ -119,12 +119,6 @@ class RangeLock {
   void UnlockShared(uint64_t off, uint64_t len) { Unlock(off, len, false); }
   void UnlockExclusive(uint64_t off, uint64_t len) { Unlock(off, len, true); }
 
-  // Contended-range stamps currently alive (introspection for tests).
-  size_t StampCountForTest() {
-    std::lock_guard<std::mutex> lg(mu_);
-    return stamps_.size();
-  }
-
  private:
   struct Held {
     uint64_t off;

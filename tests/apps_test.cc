@@ -107,7 +107,7 @@ TEST_P(AppsTest, KvScanMergesAllSources) {
   o.memtable_bytes = 8 * 1024;
   apps::KvLsm kv(fs_, "/db", o);
   for (int i = 0; i < 200; ++i) {
-    char buf[8];
+    char buf[16];
     std::snprintf(buf, sizeof(buf), "k%04d", i);
     ASSERT_EQ(kv.Put(buf, std::string(100, 'z')), 0);
   }

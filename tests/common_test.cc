@@ -1,4 +1,4 @@
-// Unit tests for src/common: checksum, RNG/zipfian, byte helpers, Expected, and the
+// Unit tests for src/common: checksum, RNG/zipfian, byte helpers, and the
 // epoch-based reclamation machinery (batched retire-list sweeps).
 #include <gtest/gtest.h>
 
@@ -174,19 +174,6 @@ TEST(Zipfian, ScrambledSpreadsHotKeys) {
     distinct.insert(z.NextScrambled());
   }
   EXPECT_GT(distinct.size(), 100u);  // Not collapsed onto a handful of ranks.
-}
-
-TEST(Expected, ValueAndError) {
-  common::Expected<int> ok(5);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(*ok, 5);
-  EXPECT_EQ(ok.error().code(), 0);
-
-  common::Expected<int> err(common::Errno(ENOENT));
-  ASSERT_FALSE(err.ok());
-  EXPECT_EQ(err.error().code(), ENOENT);
-  EXPECT_EQ(err.error().negated(), -ENOENT);
-  EXPECT_EQ(err.value_or(7), 7);
 }
 
 // --- Epoch GC: batched (generation-counted) retire-list sweeps ------------------------

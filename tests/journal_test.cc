@@ -167,19 +167,6 @@ TEST_F(JournalTest, MidWriteoutCrashRollsBackBothTransactionsNewestFirst) {
   EXPECT_EQ(journal_.CommittedTid(), journal_.RunningTid() - 1);
 }
 
-TEST_F(JournalTest, CommitStandaloneBypassesTheRunningTransaction) {
-  {
-    Journal::Handle h(&journal_);
-    journal_.Dirty(MetaBlockId(MetaKind::kInodeTable, 1), nullptr);
-  }
-  journal_.CommitStandalone(3);
-  // The standalone commit wrote its record but left the running transaction (and
-  // its tid horizon) untouched.
-  EXPECT_EQ(journal_.commits(), 1u);
-  EXPECT_FALSE(journal_.RunningEmpty());
-  EXPECT_EQ(journal_.CommittedTid(), 0u);
-}
-
 // --- Commit coalescing (j_commit_interval) --------------------------------------------
 
 TEST(JournalCoalescingTest, SameWindowFsyncsShareOneWriteout) {
@@ -249,7 +236,6 @@ TEST(JournalCoalescingTest, IntervalZeroIsIdenticalToTheDefaultPipeline) {
       }
       j->CommitRunning(/*fsync_barrier=*/(i % 2) == 0);
     }
-    j->CommitStandalone(2);
     struct Result {
       uint64_t now, commits, free_bytes;
     };

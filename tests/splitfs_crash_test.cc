@@ -31,10 +31,11 @@ struct CrashWorld {
   std::unique_ptr<ext4sim::Ext4Dax> kfs;
   std::unique_ptr<splitfs::SplitFs> fs;
 
-  explicit CrashWorld(Mode m) {
+  explicit CrashWorld(Mode m) : CrashWorld(SmallOpts(m)) {}
+  explicit CrashWorld(const splitfs::Options& o) {
     dev = std::make_unique<pmem::Device>(&ctx, 512 * kMiB);
     kfs = std::make_unique<ext4sim::Ext4Dax>(dev.get());
-    fs = std::make_unique<splitfs::SplitFs>(kfs.get(), SmallOpts(m));
+    fs = std::make_unique<splitfs::SplitFs>(kfs.get(), o);
     dev->EnableCrashTracking(true);
   }
 
@@ -78,6 +79,30 @@ TEST(SplitFsCrash, PosixAppendWithFsyncSurvives) {
   ASSERT_EQ(w.fs->Pread(fd2, back.data(), back.size(), 0),
             static_cast<ssize_t>(back.size()));
   EXPECT_EQ(back, data);
+}
+
+TEST(SplitFsCrash, NoStagingAppendWithFsyncSurvives) {
+  // The Figure 3 "split" configuration writes appends through to K-Split, whose size
+  // update sits in the running transaction: fsync must commit it in every mode.
+  for (Mode m : {Mode::kPosix, Mode::kSync, Mode::kStrict}) {
+    SCOPED_TRACE(splitfs::ModeName(m));
+    splitfs::Options o = SmallOpts(m);
+    o.enable_staging = false;
+    CrashWorld w(o);
+    int fd = w.fs->Open("/f", vfs::kRdWr | vfs::kCreate);
+    ASSERT_EQ(w.fs->Fsync(fd), 0);  // The create is durable; the append is at stake.
+    auto data = Pattern(2 * kBlockSize + 777, 4);
+    ASSERT_EQ(w.fs->Pwrite(fd, data.data(), data.size(), 0),
+              static_cast<ssize_t>(data.size()));
+    ASSERT_EQ(w.fs->Fsync(fd), 0);
+    w.CrashAndRecover();
+    int fd2 = w.fs->Open("/f", vfs::kRdWr);
+    ASSERT_GE(fd2, 0);
+    std::vector<uint8_t> back(data.size());
+    ASSERT_EQ(w.fs->Pread(fd2, back.data(), back.size(), 0),
+              static_cast<ssize_t>(back.size()));
+    EXPECT_EQ(back, data);
+  }
 }
 
 TEST(SplitFsCrash, StrictAppendSurvivesWithoutFsyncViaLogReplay) {

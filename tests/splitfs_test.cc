@@ -284,6 +284,45 @@ TEST_P(SplitFsTest, OpenTruncResetsFile) {
   fs_->Close(fd2);
 }
 
+TEST_P(SplitFsTest, TruncateDropsTheMappingsOfEveryFreedBlock) {
+  // K-Split frees every block up to the old size's block end. A mapping left over one
+  // of them routes a later in-place overwrite (POSIX/sync) into the freed block,
+  // where K-Split no longer reads: O_TRUNC kept [5000, 8 KiB) of a 5000-byte file,
+  // and Ftruncate also kept [100, 4 KiB) of a 100-byte one.
+  struct Case {
+    const char* path;
+    uint64_t size;
+    bool o_trunc;
+  };
+  for (const Case& c : {Case{"/ftrunc5000", 5000, false}, Case{"/otrunc5000", 5000, true},
+                        Case{"/ftrunc100", 100, false}}) {
+    SCOPED_TRACE(c.path);
+    int fd = fs_->Open(c.path, vfs::kRdWr | vfs::kCreate);
+    auto data = Pattern(c.size, 23);
+    ASSERT_EQ(fs_->Pwrite(fd, data.data(), data.size(), 0), static_cast<ssize_t>(c.size));
+    ASSERT_EQ(fs_->Fsync(fd), 0);
+    ASSERT_EQ(fs_->Pread(fd, data.data(), data.size(), 0), static_cast<ssize_t>(c.size));
+    if (c.o_trunc) {
+      ASSERT_EQ(fs_->Close(fd), 0);
+      fd = fs_->Open(c.path, vfs::kRdWr | vfs::kTrunc);
+      ASSERT_GE(fd, 0);
+    } else {
+      ASSERT_EQ(fs_->Ftruncate(fd, 0), 0);
+    }
+    kfs_.CommitJournal(/*fsync_barrier=*/false);  // The freed blocks are reusable now.
+    ASSERT_EQ(fs_->Fallocate(fd, 0, 12 * common::kKiB, /*keep_size=*/false), 0);
+    auto patch = Pattern(8, 24);
+    ASSERT_EQ(fs_->Pwrite(fd, patch.data(), patch.size(), c.size + 8), 8);
+    ASSERT_EQ(fs_->Fsync(fd), 0);
+    int kfd = kfs_.Open(c.path, vfs::kRdWr);
+    std::vector<uint8_t> back(patch.size());
+    ASSERT_EQ(kfs_.Pread(kfd, back.data(), back.size(), c.size + 8), 8);
+    EXPECT_EQ(back, patch);  // The kernel view holds the overwrite.
+    kfs_.Close(kfd);
+    fs_->Close(fd);
+  }
+}
+
 TEST_P(SplitFsTest, RenamePreservesCachedState) {
   int fd = fs_->Open("/old", vfs::kRdWr | vfs::kCreate);
   auto data = Pattern(1000, 17);
@@ -419,6 +458,25 @@ TEST_P(SplitFsTest, ExecStateCarriesOverViaShmBlob) {
   EXPECT_EQ(st.size, 2000u);
   std::vector<uint8_t> back(2000);
   ASSERT_EQ(restored->Pread(rfd, back.data(), 2000, 0), 2000);
+  EXPECT_EQ(back, data);
+  restored->Close(rfd);
+  fs_->Close(fd);
+}
+
+TEST_P(SplitFsTest, ExecCarriesOverUnsyncedStagedAppends) {
+  // The staged runs die with the pre-exec address space, but the saved size counts
+  // them: unless SaveForExec publishes first, the restored instance reads zeros.
+  int fd = fs_->Open("/exec-staged", vfs::kRdWr | vfs::kCreate);
+  auto data = Pattern(3000, 25);
+  ASSERT_EQ(fs_->Pwrite(fd, data.data(), data.size(), 0), 3000);  // No fsync.
+
+  std::vector<uint8_t> blob = fs_->SaveForExec();
+  auto restored = SplitFs::RestoreAfterExec(&kfs_, SmallOptions(GetParam()),
+                                            "after-exec", blob);
+  int rfd = restored->Open("/exec-staged", vfs::kRdWr);
+  ASSERT_GE(rfd, 0);
+  std::vector<uint8_t> back(data.size());
+  ASSERT_EQ(restored->Pread(rfd, back.data(), back.size(), 0), 3000);
   EXPECT_EQ(back, data);
   restored->Close(rfd);
   fs_->Close(fd);

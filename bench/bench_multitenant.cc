@@ -259,7 +259,6 @@ RunResult RunScenario(int app_tenants, int threads, Variant variant) {
   for (std::thread& w : workers) {
     w.join();
   }
-  router.DrainAllPublishes();
 
   RunResult run;
   for (Job& job : jobs) {

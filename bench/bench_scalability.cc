@@ -76,11 +76,9 @@ splitfs::Options ConcurrentOptions() {
   // critical path. (Deterministic single-threaded tests keep it off; here the whole
   // point is concurrency.)
   o.replenish_thread = true;
-  // Async relink publication: fsync returns once the relink intent is fenced; the
-  // relink ioctls and their journal commit leave the workers' critical path. The
-  // deterministic inline publisher (cost rewound, same accounting as the real
-  // thread) keeps every cell reproducible run-to-run; the real publisher thread is
-  // exercised under TSan by the concurrency test suite.
+  // Async relink publication: fsync acks once the relink intent is fenced; the
+  // relink ioctls and their journal commit then run with their cost rewound off
+  // the worker's clock, which keeps every cell reproducible run-to-run.
   o.async_relink = true;
   // Pre-size the pool for the 16-thread sweep point (16 lanes x one 16 MiB active
   // file): pool exhaustion mid-run would serialize every worker behind foreground
@@ -229,9 +227,8 @@ int WriteStormTrace(const std::string& path) {
 // to lane == worker index (common::ScopedThreadLane), which removed it.
 //
 // What remains — and is a DOCUMENTED EXCLUSION from bit-identity — is real-time
-// scheduling order at shared virtual resources. Background helpers (the staging
-// replenisher, the async-relink publisher) and workers contending on the journal's
-// ResourceStamp resolve "who waits on whom" in OS arrival order, which virtual time
+// scheduling order at shared virtual resources. The background staging replenisher
+// and workers contending on the journal's ResourceStamp resolve "who waits on whom" in OS arrival order, which virtual time
 // cannot pin without a lockstep scheduler. Measured residual wobble on the 8-thread
 // cell is up to ~0.6%, quantized to single contention charges (e.g. one 670 ns
 // staging-allocation step).

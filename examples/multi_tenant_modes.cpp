@@ -1,8 +1,8 @@
 // Example: the SplitFS feature no other PM file system offers (§3.2) — concurrent
 // applications choosing *different* consistency modes over one shared file system —
 // scaled out through the TenantRouter: namespace-rooted tenants behind one POSIX
-// entry point, every instance's background work riding three shared service
-// threads (publisher, staging replenisher, journal commit), and per-tenant QoS so
+// entry point, every instance's background work riding two shared service
+// threads (staging replenisher, journal commit), and per-tenant QoS so
 // the strict tenant's commit storm pays its own throttle instead of starving the
 // POSIX neighbor.
 //
@@ -33,13 +33,12 @@ int main() {
   router.Mount("db", db_opts);
 
   // Tenant "logs": a log cruncher that only needs POSIX semantics, but wants speed
-  // — async relink publication over the shared publisher pool, unthrottled.
+  // — async relink publication (fsync acks at the intent fence), unthrottled.
   tenant::TenantOptions log_opts;
   log_opts.fs.mode = splitfs::Mode::kPosix;
   log_opts.fs.num_staging_files = 4;
   log_opts.fs.staging_file_bytes = 32 * common::kMiB;
   log_opts.fs.async_relink = true;
-  log_opts.fs.publisher_thread = true;
   router.Mount("logs", log_opts);
 
   std::printf("tenants: db (%s) + logs (%s) — one K-Split instance, %d shared "
@@ -70,7 +69,6 @@ int main() {
   router.Fsync(lfd);
   double log_ns_per_append = static_cast<double>(ctx.clock.Now() - t0) / 20000.0;
   router.Close(lfd);
-  router.DrainAllPublishes();
 
   std::printf("strict tenant:  %.1f us per committed transaction (atomic, synchronous)\n",
               db_us_per_txn);

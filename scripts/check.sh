@@ -43,12 +43,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # The `concurrency` label includes the K-Split metadata-stress group (parallel
   # create/rename/unlink/rmdir over the per-inode/dentry-shard locks), the
   # lock-free MmapCache translate-during-churn group (epoch reclamation), and the
-  # *_async instantiations, which run every U-Split suite with the async relink
-  # publisher enabled (Options::async_relink + publish passes on the instance's
-  # 1-worker ServicePool) — so the intent-log/publish/fence protocol is
-  # TSan-verified on every pass. The tenant router's mount/unmount churn race
-  # suite (tenant_test) rides the same label, and so does common_test: the
-  # ServicePool unit tests (the one background executor) and the EpochGc group.
+  # *_async instantiations, which run every U-Split suite with async relink on
+  # (Options::async_relink: intents fenced, then published on the fsync/close
+  # caller, concurrent with other writers and readers) — so the
+  # intent-log/publish/fence protocol is TSan-verified on every pass. The tenant
+  # router's mount/unmount churn race suite (tenant_test) rides the same label,
+  # and so does common_test: the ServicePool unit tests (the one background
+  # executor) and the EpochGc group.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -L concurrency "$@"
   exit 0

@@ -28,22 +28,19 @@ ServicePool::~ServicePool() {
   // with Drain() before letting go of the pool.
 }
 
-void ServicePool::Submit(uint64_t client_key, std::function<void()> job,
-                         bool dedup_queued) {
+void ServicePool::Submit(uint64_t client_key, std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) {
       return;
     }
-    if (dedup_queued) {
-      // pending_ counts queued + running; only a *queued* twin may absorb this
-      // submit. queued-for-key = pending - running-for-key, but tracking running
-      // per key would cost a second map — instead scan the (short, bounded by
-      // clients) queue directly.
-      for (const Job& q : queue_) {
-        if (q.key == client_key) {
-          return;
-        }
+    // pending_ counts queued + running; only a *queued* twin may absorb this
+    // submit. queued-for-key = pending - running-for-key, but tracking running per
+    // key would cost a second map — instead scan the (short, bounded by clients)
+    // queue directly.
+    for (const Job& q : queue_) {
+      if (q.key == client_key) {
+        return;
       }
     }
     queue_.push_back(Job{client_key, std::move(job)});

@@ -2,12 +2,11 @@
 //
 // A fixed handful of workers serve jobs that any number of client instances
 // *register* with, keyed by client so one client's teardown can fence exactly its
-// own work (Drain). Every background service runs here: the async-relink
-// publisher's passes, the §3.5 staging replenisher's passes, and the journal
-// commit service. A single-tenant SplitFs owns a 1-worker pool per enabled
-// service; the tenant router owns three pools (publisher, staging replenisher,
-// journal commit) that every mounted tenant shares — total service threads are
-// O(pools), not O(tenants).
+// own work (Drain). Every background service runs here: the §3.5 staging
+// replenisher's passes and the journal commit service. A single-tenant SplitFs
+// owns a 1-worker replenisher pool when replenish_thread is on; the tenant router
+// owns two pools (staging replenisher, journal commit) that every mounted tenant
+// shares — total service threads are O(pools), not O(tenants).
 //
 // Simulation note: pool workers bind no sim::Clock::Lane, so their virtual-time
 // charges land on the shared timeline that lane-based measurements ignore —
@@ -36,13 +35,12 @@ class ServicePool {
   ServicePool& operator=(const ServicePool&) = delete;
 
   // Enqueues `job` attributed to `client_key` (typically the client instance
-  // pointer). With `dedup_queued`, the submit is dropped if a not-yet-running job
-  // with the same key is already queued — a queued pass will observe the newer
-  // state when it runs. Jobs already *running* never dedup a submit: a running
-  // pass may have sampled state from before the caller's update, so dropping the
-  // submit could lose the request (the journal-commit service depends on this).
-  void Submit(uint64_t client_key, std::function<void()> job,
-              bool dedup_queued = false);
+  // pointer), unless a not-yet-running job with the same key is already queued —
+  // a queued pass will observe the newer state when it runs. Jobs already
+  // *running* never dedup a submit: a running pass may have sampled state from
+  // before the caller's update, so dropping the submit could lose the request (the
+  // journal-commit service depends on this).
+  void Submit(uint64_t client_key, std::function<void()> job);
 
   // Blocks until no queued or running job for `client_key` remains. Jobs submitted
   // concurrently with the drain (including by the drained jobs themselves) are
@@ -58,8 +56,8 @@ class ServicePool {
 
   // True while the calling thread is a worker of *this* pool executing a job
   // (false on submitters and on other pools' workers). Clients that must not
-  // fence on their own service pass — a publish pass re-entering the log-full
-  // checkpoint — consult it before waiting for their own completion fence.
+  // wait on their own service pass — a journal commit requested from inside the
+  // commit service's pass — consult it before handing work to the pool.
   bool OnWorkerThread() const { return tls_running_in_ == this; }
 
  private:

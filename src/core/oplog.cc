@@ -115,10 +115,6 @@ bool OpLog::Append(LogEntry entry) {
   return true;
 }
 
-bool OpLog::NearlyFull(uint64_t slack) const {
-  return tail_.load(std::memory_order_relaxed) + slack >= capacity_;
-}
-
 bool OpLog::ResetIfQuiesced(const std::function<bool()>& quiesced) {
   std::lock_guard<std::shared_mutex> exclusive(reset_mu_);
   // Any append that already wrote an entry has released the shared lock, so its

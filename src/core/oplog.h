@@ -98,9 +98,6 @@ class OpLog {
   // keeping the crash matrix byte-identical.
   bool Append(LogEntry entry);
 
-  // True when fewer than `slack` slots remain.
-  bool NearlyFull(uint64_t slack = 16) const;
-
   // Zeroes the log and resets the tail + every lane. The caller has already relinked
   // all staged data (checkpoint, §3.3). Excludes in-flight Appends (they hold the
   // reset lock shared), and bumps ResetEpoch() so a caller that lost the race to

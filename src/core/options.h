@@ -53,28 +53,19 @@ struct Options {
 
   // Asynchronous relink publication (ROADMAP follow-on to the concurrency PRs).
   // When on, fsync()/close() of a file with staged data logs one relink-intent
-  // record per staged run to the op log (created in every mode when this is set),
-  // fences it, and defers the actual relink + journal commit; recovery replays
-  // intent records exactly like staged-append records, so fsync durability holds
-  // from the moment the intent is fenced. Off by default: the synchronous publish
-  // path stays byte-identical for the crash matrix and every deterministic test.
+  // record per staged run to the op log (created in every mode when this is set)
+  // and fences it — the durability point: recovery replays intent records exactly
+  // like staged-append records. The relinks and their journal commit then run on
+  // the calling thread with their cost rewound off its clock (sim::ScopedOffClock),
+  // modeling a background publisher with a fully deterministic store sequence,
+  // which the async crash-matrix column depends on. Off by default: the
+  // synchronous publish path stays byte-identical for the crash matrix and every
+  // deterministic test.
   bool async_relink = false;
-  // Run the publisher for real: publish passes on a service pool
-  // (Services::publisher_pool, else a 1-worker pool the instance owns) drain the
-  // publish queue, so the relink ioctls and their journal commit leave the
-  // application threads' critical path (pool workers have no clock lane, so the
-  // charges land on the shared timeline). Each pass publishes the whole queue as it
-  // stands under ONE kernel journal commit, so a deeper backlog amortizes into
-  // fewer commits. Off by default — the deferred publish then runs inline at the
-  // end of fsync with its cost rewound (sim::ScopedOffClock): equivalent accounting
-  // with a fully deterministic store sequence, which the async crash-matrix column
-  // depends on.
-  bool publisher_thread = false;
 
-  // Record virtual-time spans (op entry/exit, journal seal/writeout, publisher
-  // drains) into the context's tracer, and per-op latency histograms, when the
-  // tracer is enabled. Purely observational: the obs layer never touches the clock,
-  // so timelines are identical with this on or off.
+  // Record virtual-time spans (op entry/exit, publishes, journal seal/writeout) into
+  // the context's tracer when the tracer is enabled. Purely observational: the obs
+  // layer never touches the clock, so timelines are identical with this on or off.
   bool tracing = false;
 
   // Directory (on K-Split) for staging files and the op log.
@@ -90,14 +81,12 @@ struct Options {
 
 // Shared-service wiring for multi-tenant deployments (src/tenant/). All pointers
 // are borrowed (the tenant router outlives every instance it mounts) and all
-// default to null, which means "own your services": a 1-worker publisher pool and
-// a 1-worker replenisher pool per instance (each only when its *_thread option is
-// on), inline journal commits — the single-tenant behavior. With a pool set, the
-// instance registers its passes with the shared pool instead of owning one; with a
-// token bucket set, foreground admission to that service is paced on the caller's
-// virtual timeline.
+// default to null, which means "own your services": a 1-worker replenisher pool
+// per instance (only when replenish_thread is on), inline journal commits — the
+// single-tenant behavior. With the pool set, the instance registers its replenish
+// passes with the shared pool instead of owning one; with a token bucket set,
+// foreground admission to that service is paced on the caller's virtual timeline.
 struct Services {
-  common::ServicePool* publisher_pool = nullptr;
   common::ServicePool* replenisher_pool = nullptr;
   // QoS: paces staging-file consumption (one token per staging file a lane takes).
   sim::TokenBucket* staging_tokens = nullptr;

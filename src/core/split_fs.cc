@@ -1,7 +1,6 @@
 #include "src/core/split_fs.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -11,7 +10,6 @@
 #include "src/analysis/lock_witness.h"
 #include "src/analysis/persist_checker.h"
 #include "src/common/bytes.h"
-#include "src/common/service_pool.h"
 #include "src/sim/token_bucket.h"
 
 namespace splitfs {
@@ -148,13 +146,6 @@ SplitFs::SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instanc
   SPLITFS_CHECK(fd >= 0);
   SPLITFS_CHECK_OK(kfs_->Fsync(fd));
   SPLITFS_CHECK_OK(kfs_->Close(fd));
-  if (opts_.async_relink && opts_.publisher_thread) {
-    publisher_pool_ = services_.publisher_pool;
-    if (publisher_pool_ == nullptr) {
-      owned_publisher_pool_ = std::make_unique<common::ServicePool>(tag_ + ".publisher");
-      publisher_pool_ = owned_publisher_pool_.get();
-    }
-  }
   RegisterGauges();
 }
 
@@ -162,22 +153,8 @@ void SplitFs::RegisterGauges() {
   // Tag-prefixed so concurrent U-Split instances over one Context never collide;
   // the dtor deregisters by the same prefix.
   obs::MetricsRegistry* m = &ctx_->obs.metrics;
-  m->RegisterGauge(tag_ + ".publisher.queue_depth", [this]() -> uint64_t {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    return publish_queue_.size();
-  });
-  m->RegisterGauge(tag_ + ".publisher.inflight", [this]() -> uint64_t {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    return publishes_inflight_;
-  });
   m->RegisterGauge(tag_ + ".publisher.async_publishes", [this]() {
     return async_publishes_.load(std::memory_order_acquire);
-  });
-  m->RegisterGauge(tag_ + ".publisher.errors", [this]() {
-    return publish_errors_.load(std::memory_order_acquire);
-  });
-  m->RegisterGauge(tag_ + ".publisher.backpressure_waits", [this]() {
-    return publish_backpressure_.load(std::memory_order_acquire);
   });
   m->RegisterGauge(tag_ + ".relinks", [this]() {
     return relinks_.load(std::memory_order_acquire);
@@ -212,7 +189,6 @@ void SplitFs::RegisterGauges() {
 SplitFs::~SplitFs() {
   // Gauges read through `this`; drop them before any member state goes away.
   ctx_->obs.metrics.DeregisterGauges(tag_ + ".");
-  StopPublisher();  // Drains the queue: staged data promised by fsync publishes.
   for (FileShard& shard : file_shards_) {
     for (auto& [ino, fs] : shard.map) {
       if (fs->kernel_fd >= 0) {
@@ -385,27 +361,15 @@ int SplitFs::Close(int fd) {
     staged = !fs->staged.empty();
   }
   if (staged) {
-    PublishOutcome outcome;
-    {
-      RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
-      int rc = PublishOrIntend(fs.get(), &outcome);
-      if (rc != 0) {
-        return rc;
-      }
-      if (outcome == PublishOutcome::kPublished) {
-        // Synchronous publish: close() acks durability of everything this file
-        // staged (§3.4). Claimed under the lock, like Fsync: once it drops, a
-        // concurrent appender's fresh unfenced bytes join the file's dependency
-        // set. Deferred publishes acked at the intent-log fence instead.
-        analysis::DurabilityPoint(kfs_->device(), fs->ino, "splitfs.close");
-      }
+    RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
+    int rc = PublishOrIntend(fs.get());
+    if (rc != 0) {
+      return rc;
     }
-    if (close_ack_hook_) {
-      close_ack_hook_();  // Test-only: an append between the lock drop and the enqueue.
-    }
-    if (outcome == PublishOutcome::kEnqueue) {
-      EnqueuePublish(fs);
-    }
+    // close() acks durability of everything this file staged (§3.4). Claimed under
+    // the lock, like Fsync: once it drops, a concurrent appender's fresh unfenced
+    // bytes join the file's dependency set.
+    analysis::DurabilityPoint(kfs_->device(), fs->ino, "splitfs.close");
   }
   // The application's close traps into the kernel; U-Split keeps its own descriptor
   // and all cached state alive (cache is only cleared by unlink, §3.5).
@@ -1228,7 +1192,7 @@ int SplitFs::PublishStaged(FileState* fs, bool log_done) {
   if (rc != 0) {
     return rc;
   }
-  SealPublished({&fs, 1}, log_done);
+  SealPublished(fs, log_done);
   return 0;
 }
 
@@ -1293,43 +1257,36 @@ int SplitFs::RelinkStaged(FileState* fs, bool log_done) {
   return 0;
 }
 
-void SplitFs::SealPublished(std::span<FileState* const> files, bool log_done) {
-  if (opts_.enable_relink) {
-    // One journal commit covers every relink of these files (jbd2 batches handles).
-    // Each deferred relink released its inode locks and journal handle before
-    // returning, so this commit — whose seal takes the journal barrier exclusively
-    // and waits out in-flight handles — can never deadlock against our own relinks;
-    // by the time CommitJournal returns, the sealed tid has fully written out.
-    kfs_->CommitJournal(/*fsync_barrier=*/false, tag_.c_str());
+void SplitFs::SealPublished(FileState* fs, bool log_done) {
+  // One journal commit covers every relink of the file (jbd2 batches handles) — and,
+  // with the Figure 3 copy ablation, the size growth its kernel writes left in the
+  // running transaction. Each deferred relink released its inode locks and journal
+  // handle before returning, so this commit — whose seal takes the journal barrier
+  // exclusively and waits out in-flight handles — can never deadlock against our own
+  // relinks; by the time CommitJournal returns, the sealed tid has fully written out.
+  kfs_->CommitJournal(/*fsync_barrier=*/false, tag_.c_str());
+  {
+    std::lock_guard<std::mutex> meta(fs->meta_mu);
+    fs->metadata_dirty = false;  // The commit covered the running transaction too.
   }
-  // Every dirty count drops before any kRelinkDone append. A done append against a
-  // full log recurses into CheckpointForFull, which spins until the dirty count
-  // reaches zero — files later in `files` (still locked by the caller) must
-  // already be off it, or that spin never terminates.
-  for (FileState* fs : files) {
-    {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->metadata_dirty = false;  // The commit covered the running transaction too.
-    }
-    dirty_files_.fetch_sub(1, std::memory_order_release);
-  }
+  // The dirty count drops before the kRelinkDone append: a done append against a
+  // full log recurses into CheckpointForFull, which spins until the count reaches
+  // zero.
+  dirty_files_.fetch_sub(1, std::memory_order_release);
   if (!log_done || !opts_.async_relink || oplog_ == nullptr) {
     return;
   }
-  // Seal each publish while the caller still holds the file's lock, so no new intent
+  // Seal the publish while the caller still holds the file's lock, so no new intent
   // for the ino can precede its done record: every data entry of the inode at or
   // below this seq is relinked and committed, and replay skips it. Without the seal,
   // a stale intent could resurrect bytes a later unlogged in-place overwrite
   // replaced.
-  for (FileState* fs : files) {
-    LogMetaOp(LogOp::kRelinkDone, fs->ino, 0, fs);
-  }
+  LogMetaOp(LogOp::kRelinkDone, fs->ino, 0, fs);
 }
 
 // --- Async relink publication ---------------------------------------------------------
 
-int SplitFs::PublishOrIntend(FileState* fs, PublishOutcome* outcome) {
-  *outcome = PublishOutcome::kPublished;
+int SplitFs::PublishOrIntend(FileState* fs) {
   if (!opts_.async_relink) {
     TakeJournalCredit();  // Sync publish commits the journal on the caller.
     return PublishStaged(fs);
@@ -1353,25 +1310,15 @@ int SplitFs::PublishOrIntend(FileState* fs, PublishOutcome* outcome) {
   if (rc != 0) {
     return rc;
   }
-  bool was_pending;
-  {
-    std::lock_guard<std::mutex> meta(fs->meta_mu);
-    was_pending = fs->publish_pending;
-    fs->publish_pending = true;
+  // The publish really happens here — same store and fence sequence every run,
+  // which the crash matrix depends on — but its cost is rewound off the foreground
+  // clock, modeling a background publisher.
+  sim::ScopedOffClock off(&ctx_->clock);
+  rc = PublishStaged(fs);
+  if (rc == 0) {
+    async_publishes_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!HasAsyncPublisher()) {
-    // Deterministic inline mode: the publish really happens here — same store and
-    // fence sequence every run, which the crash matrix depends on — but its cost is
-    // rewound off the foreground clock, modeling the background publisher.
-    sim::ScopedOffClock off(&ctx_->clock);
-    rc = PublishStaged(fs);
-    std::lock_guard<std::mutex> meta(fs->meta_mu);
-    fs->publish_pending = false;
-    return rc;
-  }
-  // Already queued: the pending publish covers our runs.
-  *outcome = was_pending ? PublishOutcome::kQueued : PublishOutcome::kEnqueue;
-  return 0;
+  return rc;
 }
 
 int SplitFs::LogRelinkIntents(FileState* fs) {
@@ -1442,175 +1389,6 @@ int SplitFs::LogRelinkIntents(FileState* fs) {
   return 0;
 }
 
-void SplitFs::EnqueuePublish(FileRef fs) {
-  std::unique_lock<std::mutex> ul(publish_mu_);
-  // Backpressure (real time only): staged bytes awaiting publication are bounded, so
-  // a lagging publisher cannot exhaust the staging pool. Never called with a file
-  // lock held — the publisher takes file locks to drain the queue.
-  if (publish_queue_.size() >= kMaxQueuedPublishes && !publisher_stop_) {
-    publish_backpressure_.fetch_add(1, std::memory_order_relaxed);
-  }
-  publish_idle_cv_.wait(ul, [this] {
-    return publish_queue_.size() < kMaxQueuedPublishes || publisher_stop_;
-  });
-  if (publisher_stop_) {
-    return;  // Shutdown race: the instance is tearing down; nothing more queues.
-  }
-  publish_queue_.push_back(std::move(fs));
-  ul.unlock();
-  SchedulePublishPass();  // Register a drain pass for the new entry.
-}
-
-std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) {
-  // Lock + relink each file, then seal them all under one journal commit. Locks are
-  // held across the shared commit — a file's relinks must not become visible as
-  // "published" (pending cleared, dirty count dropped) before they are durable.
-  auto finish = [this](FileState* fs) {
-    {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      fs->publish_pending = false;
-    }
-    fs->rlock.UnlockExclusive(0, RangeLock::kWholeFile);
-    async_publishes_.fetch_add(1, std::memory_order_relaxed);
-  };
-  std::vector<FileRef> busy;
-  std::vector<FileState*> relinked;  // Still whole-file locked; `batch` owns them.
-  for (FileRef& fs : batch) {
-    if (!fs->rlock.TryLockExclusive(0, RangeLock::kWholeFile)) {
-      // Contended. A lock holder that is itself blocked (log-full checkpoint
-      // waiting on our completion fence) has already published this file — then
-      // the pending flag is stale and the entry must NOT requeue, or the fence
-      // never drains. A holder still writing leaves staged data: requeue.
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      if (fs->staged.empty()) {
-        fs->publish_pending = false;
-        async_publishes_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        busy.push_back(std::move(fs));
-      }
-      continue;
-    }
-    bool skip;
-    {
-      std::lock_guard<std::mutex> meta(fs->meta_mu);
-      skip = fs->defunct || fs->staged.empty();
-    }
-    int rc = skip ? 0 : RelinkStaged(fs.get(), /*log_done=*/true);
-    if (rc != 0) {
-      publish_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (skip || rc != 0) {
-      finish(fs.get());
-    } else {
-      relinked.push_back(fs.get());
-    }
-  }
-  if (!relinked.empty()) {
-    // ONE commit seals every batched file's relinks — the amortization the batch
-    // buys.
-    SealPublished(relinked, /*log_done=*/true);
-  }
-  for (FileState* fs : relinked) {
-    finish(fs);
-  }
-  return busy;
-}
-
-void SplitFs::SchedulePublishPass() {
-  if (publisher_pool_ == nullptr) {
-    return;
-  }
-  // Deduplicated against a QUEUED (not running) pass: a running pass may have
-  // emptied its view of the queue already, so a fresh enqueue needs a fresh pass.
-  publisher_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { PublishPass(); },
-                          /*dedup_queued=*/true);
-}
-
-void SplitFs::PublishPass() {
-  std::unique_lock<std::mutex> ul(publish_mu_);
-  while (!publish_queue_.empty() && !publisher_paused_) {
-    // The batch is the queue as it stands: a deep queue (burst of fsyncs) drains
-    // under one journal commit instead of one per file. A later enqueue (or
-    // unpause) schedules the next pass.
-    std::vector<FileRef> batch(std::make_move_iterator(publish_queue_.begin()),
-                               std::make_move_iterator(publish_queue_.end()));
-    publish_queue_.clear();
-    const size_t popped = batch.size();
-    publishes_inflight_ += popped;
-    publish_idle_cv_.notify_all();  // Backpressure keys off the queue length.
-    ul.unlock();
-    std::vector<FileRef> busy;
-    {
-      // Same locking as a synchronous publish: readers of each file see the staged
-      // snapshot until the swap, the published one after — never a torn window.
-      // Pool workers have no clock lane, so the relink and journal-commit charges
-      // land on the shared timeline, off every application thread's critical path.
-      obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
-                           "publisher", "publisher.drain", "files", popped);
-      busy = PublishBatch(std::move(batch));
-    }
-    ul.lock();
-    // Requeue contended files and drop the inflight count in ONE critical section:
-    // the completion fence (queue empty && inflight zero) must never observe the
-    // gap between them and declare a still-pending publish finished.
-    for (FileRef& fs : busy) {
-      publish_queue_.push_back(std::move(fs));
-    }
-    publishes_inflight_ -= popped;
-    publish_idle_cv_.notify_all();
-    if (!busy.empty() && busy.size() == popped && !publisher_stop_) {
-      // Every file was lock-contended; the holders are mid-operation. Back off a
-      // beat of real time instead of spinning on their locks.
-      ul.unlock();
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      ul.lock();
-    }
-  }
-}
-
-void SplitFs::DrainQueuedPublishes() {
-  std::vector<FileRef> batch;
-  {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    while (!publish_queue_.empty()) {
-      batch.push_back(std::move(publish_queue_.front()));
-      publish_queue_.pop_front();
-    }
-  }
-  while (!batch.empty()) {
-    batch = PublishBatch(std::move(batch));
-  }
-  publish_idle_cv_.notify_all();
-}
-
-void SplitFs::StopPublisher() {
-  if (publisher_pool_ == nullptr) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    publisher_stop_ = true;     // Unblocks backpressure waiters; stops enqueues.
-    publisher_paused_ = false;  // Teardown overrides a test pause.
-  }
-  publish_idle_cv_.notify_all();
-  // Fence the pool: after Drain no pass of ours is queued or running.
-  publisher_pool_->Drain(reinterpret_cast<uint64_t>(this));
-  // Anything still queued (e.g. enqueued while a pass was paused) publishes on
-  // this thread — staged data promised by fsync must reach K-Split.
-  DrainQueuedPublishes();
-}
-
-void SplitFs::WaitForPublishes() {
-  if (!HasAsyncPublisher()) {
-    return;
-  }
-  SchedulePublishPass();  // Make sure a pass is armed for queued work.
-  std::unique_lock<std::mutex> ul(publish_mu_);
-  publish_idle_cv_.wait(ul, [this] {
-    return publish_queue_.empty() && publishes_inflight_ == 0;
-  });
-}
-
 void SplitFs::TakeJournalCredit() {
   if (services_.journal_credits == nullptr) {
     return;
@@ -1626,7 +1404,6 @@ int SplitFs::Fsync(int fd) {
   if (fs == nullptr) {
     return -EBADF;
   }
-  bool enqueue = false;
   int rc = 0;
   {
     RangeWriteGuard guard(&fs->rlock, 0, RangeLock::kWholeFile);
@@ -1643,14 +1420,11 @@ int SplitFs::Fsync(int fd) {
       metadata_dirty = fs->metadata_dirty;
     }
     if (staged) {
-      // Relink path: no fsync barrier (Table 6). Async configuration returns once
-      // the intent records are fenced; the relinks run on the publisher.
-      PublishOutcome outcome;
-      rc = PublishOrIntend(fs.get(), &outcome);
-      enqueue = outcome == PublishOutcome::kEnqueue;
-      if (rc == 0 && outcome == PublishOutcome::kPublished) {
-        // fsync() return acks durability of all staged data published above;
-        // the async path acks at the intent-log fence, not here.
+      // Relink path: no fsync barrier (Table 6). With async relink the intent fence
+      // is the ack; the publish after it runs off the caller's clock.
+      rc = PublishOrIntend(fs.get());
+      if (rc == 0) {
+        // fsync() return acks durability of all staged data published above.
         analysis::DurabilityPoint(kfs_->device(), fs->ino, "splitfs.fsync");
       }
     } else if (metadata_dirty) {
@@ -1665,9 +1439,6 @@ int SplitFs::Fsync(int fd) {
       // their non-temporal stores; the trap still happens.
       ctx_->ChargeSyscall();
     }
-  }
-  if (enqueue) {
-    EnqueuePublish(fs);
   }
   return rc;
 }
@@ -1894,16 +1665,6 @@ void SplitFs::CheckpointForFull(FileState* held) {
     // append against the still-full log would recurse back into this checkpoint.
     SPLITFS_CHECK_OK(PublishStaged(held, /*log_done=*/false));
   }
-  if (HasAsyncPublisher() && !publisher_pool_->OnWorkerThread()) {
-    // Completion fence: queued/batched publishes finish under their single journal
-    // commit before the log resets — the try-lock sweep below cannot see a batch
-    // that is mid-commit on a publish pass, and must not reset the log out from
-    // under its still-unsealed intents. Publishing `held` first keeps this
-    // deadlock-free: any lock holder blocked here has already emptied its own
-    // staged set, so the publisher drops (never requeues) its queue entry. A
-    // publish pass itself skips the fence — it cannot wait for its own drain.
-    WaitForPublishes();
-  }
   std::lock_guard<std::mutex> cl(checkpoint_mu_);
   analysis::ScopedLockNote cp_note(analysis::LockWitness::Global(), CheckpointSite());
   if (oplog_->ResetEpoch() != epoch) {
@@ -1978,14 +1739,7 @@ int SplitFs::Recover() {
   OpScope op_scope(this, OpKind::kRecover);
   // A crash wiped the process: every piece of DRAM state is rebuilt from scratch.
   // Recovery runs before the instance serves new operations (single-threaded, as a
-  // real restart would be). Queued publishes reference pre-crash state — drop them
-  // first (the queue may hold entries a paused/backed-up publisher never started),
-  // then wait out any publish already in flight.
-  {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    publish_queue_.clear();
-  }
-  WaitForPublishes();
+  // real restart would be).
   for (FileShard& shard : file_shards_) {
     std::lock_guard<std::shared_mutex> lock(shard.mu);
     for (auto& [ino, fs] : shard.map) {

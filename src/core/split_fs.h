@@ -9,7 +9,9 @@
 //   * data operations (read / overwrite) are served in user space from the collection
 //     of memory-maps, with loads and non-temporal stores — no kernel trap;
 //   * appends (all modes) and overwrites (strict mode) are redirected to staging files
-//     and published atomically by relink on fsync()/close();
+//     and published atomically by relink on fsync()/close(). With async relink
+//     (Options::async_relink) fsync/close first fence relink-intent records, then
+//     publish on the calling thread with the cost rewound off its clock;
 //   * metadata operations (open, close, unlink, rename, mkdir, ...) are passed through
 //     to K-Split, with U-Split bookkeeping layered on top;
 //   * strict mode additionally writes one 64 B op-log entry + one fence per operation.
@@ -62,13 +64,11 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,7 +78,6 @@
 #include "src/core/options.h"
 #include "src/core/staging.h"
 #include "src/ext4/ext4_dax.h"
-#include "src/obs/histogram.h"
 #include "src/obs/obs.h"
 #include "src/vfs/fd_table.h"
 #include "src/vfs/file_system.h"
@@ -86,23 +85,22 @@
 
 namespace splitfs {
 
-// Public operations instrumented by SplitFs::OpScope: one top-level trace span and
-// one latency-histogram record per call when Options::tracing is set.
+// Public operations instrumented by SplitFs::OpScope: one top-level trace span per
+// call when Options::tracing is set.
 enum class OpKind {
   kOpen, kClose, kUnlink, kRename, kPread, kPwrite, kRead, kWrite, kLseek, kFsync,
   kFtruncate, kFallocate, kStat, kFstat, kMkdir, kRmdir, kReadDir, kRecover,
 };
-inline constexpr size_t kOpKindCount = static_cast<size_t>(OpKind::kRecover) + 1;
 const char* OpKindName(OpKind op);
 
 class SplitFs : public vfs::FileSystem {
  public:
   // `instance_tag` names this U-Split instance's runtime files (staging, op log).
   // `services` (optional) wires the instance into a multi-tenant deployment
-  // (src/tenant/): publish and replenish passes run on the shared pools instead of
-  // a 1-worker pool of the instance's own, and token buckets pace this tenant's
-  // staging-file and journal-commit consumption. The defaults (all null) keep the
-  // single-tenant behavior bit-identical.
+  // (src/tenant/): replenish passes run on the shared pool instead of a 1-worker
+  // pool of the instance's own, and token buckets pace this tenant's staging-file
+  // and journal-commit consumption. The defaults (all null) keep the single-tenant
+  // behavior bit-identical.
   SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instance_tag = "u0",
           const Services& services = {});
   ~SplitFs() override;
@@ -148,44 +146,14 @@ class SplitFs : public vfs::FileSystem {
   uint64_t OpLogEntries() const { return oplog_ ? oplog_->EntriesLogged() : 0; }
   uint64_t Relinks() const { return relinks_.load(std::memory_order_relaxed); }
   uint64_t Checkpoints() const { return checkpoints_.load(std::memory_order_relaxed); }
+  // Async-relink publishes: fsync/close calls that fenced intents and then
+  // published the file's staged runs.
   uint64_t AsyncPublishes() const {
     return async_publishes_.load(std::memory_order_relaxed);
   }
-  uint64_t PublishErrors() const {
-    return publish_errors_.load(std::memory_order_relaxed);
-  }
-  // Completion fence of the async publisher: returns once every queued publish has
-  // finished. No-op when the publisher thread is off (inline mode publishes before
-  // fsync/close return). It first re-arms a publish pass, so a queued file whose
-  // pass raced a pause/unpause is never waited on forever.
-  void WaitForPublishes();
-  // Files queued for async publication right now (router QoS gauge).
-  size_t PublishQueueDepth() const {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    return publish_queue_.size();
-  }
-  // True when publishes run asynchronously, as passes on a publisher pool.
-  bool HasAsyncPublisher() const { return publisher_pool_ != nullptr; }
-  // Pops everything currently queued and publishes it on the calling thread. Tenant
-  // unmount drains through here (after stopping new enqueues) so queued publishes —
-  // data the tenant's fsyncs already acknowledged — are on K-Split before the
-  // instance is destroyed; crash tests use it to walk the batched publish
-  // deterministically with the publisher paused.
-  void DrainQueuedPublishes();
-
-  // Test-only: parks the publisher (its pool passes) before it pops the next
-  // queue entry, so a crash test can build the acknowledged-but-unpublished state
-  // (intents fenced, relinks pending) deterministically and drive recovery through
-  // intent replay. StopPublisher overrides the pause so teardown never hangs.
-  void set_publisher_paused_for_test(bool paused) {
-    {
-      std::lock_guard<std::mutex> lg(publish_mu_);
-      publisher_paused_ = paused;
-    }
-    if (!paused) {
-      SchedulePublishPass();  // Re-arm a pass for anything queued.
-    }
-  }
+  // Completion fence for publishes. Always satisfied: every publish, async relink
+  // included, has finished before the fsync/close that started it returns.
+  void WaitForPublishes() {}
 
   // Test-only: invoked right after the kernel rename, before the path-cache
   // updates — inside Rename's dual path-shard critical section. The rename-vs-
@@ -197,29 +165,8 @@ class SplitFs : public vfs::FileSystem {
     rename_race_hook_ = std::move(hook);
   }
 
-  // Test-only: invoked in Close right after the whole-file lock drops, before the
-  // publish is enqueued. The close-ack regression test appends from another
-  // descriptor here: nothing orders that append against the closing thread, so
-  // Close must have made any durability claim before this point. nullptr (the
-  // default) outside tests.
-  void set_close_ack_hook_for_test(std::function<void()> hook) {
-    close_ack_hook_ = std::move(hook);
-  }
-
   const StagingPool& staging_pool() const { return *staging_; }
   ext4sim::Ext4Dax* kernel_fs() const { return kfs_; }
-
-  // --- Observability ----------------------------------------------------------------
-  // One consistent cut of every registered counter and gauge (publisher queue depth,
-  // staging occupancy, oplog fill, journal pipeline state, ...). Each gauge is
-  // evaluated exactly once per dump — see obs::MetricsRegistry::Snapshot.
-  std::vector<obs::MetricsRegistry::Sample> DumpMetrics() const {
-    return ctx_->obs.metrics.Snapshot();
-  }
-  // Per-op virtual-time latency histogram, recorded when Options::tracing is set.
-  const obs::LatencyHistogram& OpHistogram(OpKind op) const {
-    return op_hist_[static_cast<size_t>(op)];
-  }
 
  private:
   struct StagedRange {
@@ -257,9 +204,6 @@ class SplitFs : public vfs::FileSystem {
     // would leak allocations and wedge the strict-mode checkpoint (its dirty count
     // could never drain).
     bool defunct = false;
-    // Async relink: the file sits on the publish queue (or is being published).
-    // Purely an enqueue-dedup flag — correctness never depends on it.
-    bool publish_pending = false;
 
     vfs::RangeLock rlock;       // Byte-range lock; kWholeFile for restructuring ops.
     mutable std::mutex meta_mu;
@@ -363,8 +307,8 @@ class SplitFs : public vfs::FileSystem {
   int TruncateLocked(FileState* fs, uint64_t size);
 
   // Publishes all staged ranges of `fs` into the target file: RelinkStaged, then
-  // SealPublished for this one file. Returns 0 or -errno. Caller holds the
-  // whole-file lock exclusively. `log_done` appends the async-relink publish seal
+  // SealPublished. Returns 0 or -errno. Caller holds the whole-file lock
+  // exclusively. `log_done` appends the async-relink publish seal
   // (kRelinkDone); the log-full checkpoint passes false — it resets the log right
   // after, which retires every intent wholesale, and a done append against the
   // still-full log would recurse into the checkpoint and deadlock on its mutex.
@@ -376,46 +320,23 @@ class SplitFs : public vfs::FileSystem {
   // relinks are not yet durable. Caller holds the whole-file lock exclusively.
   // `log_done` false marks a checkpoint publish, which fences first in every mode.
   int RelinkStaged(FileState* fs, bool log_done);
-  // Seals a publish of `files`, each relinked by RelinkStaged and still whole-file
-  // locked by the caller: one journal commit, then every dirty count drops, then
-  // (with `log_done`, async relink) one kRelinkDone record per file.
-  void SealPublished(std::span<FileState* const> files, bool log_done);
+  // Seals a publish of `fs`, relinked by RelinkStaged and still whole-file locked
+  // by the caller: one journal commit, then the dirty count drops, then (with
+  // `log_done`, async relink) one kRelinkDone record.
+  void SealPublished(FileState* fs, bool log_done);
 
   // --- Async relink publication -----------------------------------------------------
-  // fsync/close entry point; caller holds the whole-file lock exclusively. Sync
-  // configuration: publishes inline. Async: commits dirty metadata (the fsync
-  // contract covers it), logs + fences relink intents, and either publishes inline
-  // with the cost rewound (deterministic mode) or leaves it to the publisher. On
-  // kEnqueue the caller must call EnqueuePublish AFTER dropping the file lock: the
-  // enqueue can block on queue backpressure while the publisher blocks on this very
-  // file's lock. Only kPublished lets the caller claim durability itself; the
-  // deferred outcomes were acked at the intent-log fence.
-  enum class PublishOutcome {
-    kPublished,  // Relinked on this call: the caller's ack is a durability point.
-    kEnqueue,    // Intents fenced; the caller must enqueue the file.
-    kQueued,     // Intents fenced; an already-queued publish covers the runs.
-  };
-  int PublishOrIntend(FileState* fs, PublishOutcome* outcome);
+  // fsync/close entry point; caller holds the whole-file lock exclusively and, on
+  // success, claims its durability point before dropping it. Without async relink:
+  // publishes. Async: commits dirty metadata (the fsync contract covers it), logs +
+  // fences relink intents, then publishes with the cost rewound off the caller's
+  // clock (sim::ScopedOffClock), modeling a background publisher while keeping the
+  // store and fence sequence deterministic.
+  int PublishOrIntend(FileState* fs);
   // Logs one kRelinkIntent per staged run (or run delta) not yet intent-covered.
   // POSIX/sync modes only — strict logged every run at write time. Caller holds the
   // whole-file lock exclusively.
   int LogRelinkIntents(FileState* fs);
-  void EnqueuePublish(FileRef fs);
-  // Publishes `batch` under ONE journal commit: RelinkStaged per file, then one
-  // SealPublished for every relinked file, whose locks are held until it returns.
-  // Files whose whole-file lock is contended are returned for requeue, unless their
-  // staged set is already empty (the lock holder published them) — then the stale
-  // pending flag is cleared and they are dropped.
-  std::vector<FileRef> PublishBatch(std::vector<FileRef> batch);
-  // Teardown: stops enqueues, fences this instance's passes out of the publisher
-  // pool, then publishes whatever is still queued on the calling thread.
-  void StopPublisher();
-  // Registers a queue-deduplicated publish pass with the publisher pool. No-op
-  // when publishes run inline.
-  void SchedulePublishPass();
-  // One pool pass: publishes the whole queue as it stands under one journal
-  // commit, repeating until the queue is empty (or the test pause is set).
-  void PublishPass();
   int RelinkRun(FileState* fs, uint64_t file_off, const StagedRange& r);
   int CopyStagedRun(FileState* fs, const StagedRange& r);
 
@@ -444,34 +365,25 @@ class SplitFs : public vfs::FileSystem {
   void CheckpointForFull(FileState* held);
 
   // RAII bracket at every public operation entry: a top-level trace span named after
-  // the op (carrying the op's PM media-time delta, the §5.7 split) plus one latency
-  // record into op_hist_. Inert — one branch — unless Options::tracing is set; inert
-  // inside ScopedOffClock brackets (rewound work has no place on the timeline).
+  // the op, carrying the op's PM media-time delta (the §5.7 split). Inert — one
+  // branch — unless Options::tracing is set and the tracer enabled; inert inside
+  // ScopedOffClock brackets (rewound work has no place on the timeline).
   class OpScope {
    public:
     OpScope(SplitFs* fs, OpKind op, uint64_t arg = 0)
-        : fs_(fs), op_(op),
+        : fs_(fs),
           span_(fs->opts_.tracing ? &fs->ctx_->obs.tracer : nullptr, &fs->ctx_->clock,
                 "op", OpKindName(op), "arg", arg) {
-      if (fs_->opts_.tracing && !sim::Clock::OffClock()) {
-        active_ = true;
-        start_ns_ = fs_->ctx_->clock.Now();
+      if (span_.active()) {
         media0_ = fs_->ctx_->stats.data_media_ns();
       }
     }
     ~OpScope() {
-      if (!active_) {
-        return;
-      }
-      uint64_t end = fs_->ctx_->clock.Now();
       if (span_.active()) {
         // Media time charged while this op ran. Exact on one thread; concurrent
         // threads' media charges can leak into each other's spans (the counter is
         // process-wide), which the README's reconciliation section spells out.
         span_.set_media_ns(fs_->ctx_->stats.data_media_ns() - media0_);
-      }
-      if (end >= start_ns_) {
-        fs_->op_hist_[static_cast<size_t>(op_)].Record(end - start_ns_);
       }
     }
     OpScope(const OpScope&) = delete;
@@ -479,14 +391,11 @@ class SplitFs : public vfs::FileSystem {
 
    private:
     SplitFs* fs_;
-    OpKind op_;
-    bool active_ = false;
-    uint64_t start_ns_ = 0;
     uint64_t media0_ = 0;
     obs::ScopedSpan span_;
   };
 
-  // Registers (tag-prefixed) gauges for this instance's queues and pools; the dtor
+  // Registers (tag-prefixed) gauges for this instance's counters and pools; the dtor
   // deregisters by prefix before any member is torn down.
   void RegisterGauges();
 
@@ -525,34 +434,9 @@ class SplitFs : public vfs::FileSystem {
   // "splitfs.strict_range_log" in the contention ledger.
   sim::ResourceStamp strict_epoch_stamp_;
 
-  // --- Async publisher (Options::async_relink + publisher_thread) -------------------
-  // The executor of publish passes: Services::publisher_pool when one is wired in,
-  // otherwise owned_publisher_pool_ (one worker). Null when publishes run inline.
-  // StopPublisher drains this instance's key before the owned pool is destroyed.
-  common::ServicePool* publisher_pool_ = nullptr;
-  std::unique_ptr<common::ServicePool> owned_publisher_pool_;
-  // Queue of files with intent-logged staged data awaiting publication. Bounded:
-  // fsync blocks (real time only — the virtual cost of a publish never lands on a
-  // lane) when the publisher falls behind, so staged allocations cannot exhaust the
-  // staging pool. The queue holds FileRefs: a file torn down by unlink/rename while
-  // queued stays alive until the publisher sees it is defunct and skips it.
-  static constexpr size_t kMaxQueuedPublishes = 8;
-  mutable std::mutex publish_mu_;
-  std::condition_variable publish_idle_cv_;  // Backpressure + completion fence.
-  std::deque<FileRef> publish_queue_;
-  size_t publishes_inflight_ = 0;  // Guarded by publish_mu_.
-  bool publisher_stop_ = false;    // Guarded by publish_mu_.
-  bool publisher_paused_ = false;  // Guarded by publish_mu_; test-only.
   std::atomic<uint64_t> async_publishes_{0};
-  std::atomic<uint64_t> publish_errors_{0};
-  // fsync calls that blocked on publisher-queue backpressure (kMaxQueuedPublishes).
-  std::atomic<uint64_t> publish_backpressure_{0};
-
-  // Per-op latency histograms (virtual ns), recorded by OpScope under tracing.
-  std::array<obs::LatencyHistogram, kOpKindCount> op_hist_;
 
   std::function<void()> rename_race_hook_;  // Test-only; see the setter.
-  std::function<void()> close_ack_hook_;    // Test-only; see the setter.
 };
 
 }  // namespace splitfs

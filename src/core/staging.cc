@@ -174,8 +174,7 @@ void StagingPool::KickReplenisherLocked() {
   }
   // Queued-pass dedup: one pending pass tops the queue up however far it has
   // drained by the time a worker runs it.
-  replenisher_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { ReplenishPass(); },
-                            /*dedup_queued=*/true);
+  replenisher_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { ReplenishPass(); });
 }
 
 void StagingPool::ReplenishPass() {

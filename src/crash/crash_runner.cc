@@ -164,7 +164,7 @@ WorldFactory SplitFsWorldFactory(splitfs::Mode mode, bool async_relink) {
     o.num_staging_files = 2;
     o.staging_file_bytes = 4 * kMiB;
     o.oplog_bytes = 256 * kKiB;
-    o.async_relink = async_relink;  // Inline publisher: deterministic stores.
+    o.async_relink = async_relink;
     w->fs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
     return w;
   };

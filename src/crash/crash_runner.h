@@ -74,10 +74,9 @@ struct World {
 using WorldFactory = std::function<std::unique_ptr<World>()>;
 
 // Small worlds sized for crash-state enumeration (64 MB device). `async_relink`
-// builds the SplitFS instance with Options::async_relink on in its deterministic
-// inline-publisher mode: fsync logs + fences relink intents before the (rewound)
-// publish, so the injector can land between the intent fence and the publish — the
-// async column of the matrix.
+// builds the SplitFS instance with Options::async_relink on: fsync logs + fences
+// relink intents before the (rewound) publish, so the injector can land between
+// the intent fence and the publish — the async column of the matrix.
 WorldFactory SplitFsWorldFactory(splitfs::Mode mode, bool async_relink = false);
 // `which` is "nova", "pmfs", or "strata".
 WorldFactory BaselineWorldFactory(const std::string& which);

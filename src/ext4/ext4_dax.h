@@ -177,7 +177,6 @@ class Ext4Dax : public vfs::FileSystem {
   // Test/bench introspection.
   uint64_t FreeBlocks() const { return alloc_.FreeBlocks(); }
   uint64_t JournalCommits() const { return journal_.commits(); }
-  BlockAllocator* allocator_for_test() { return &alloc_; }
   // Pipeline introspection/hook access for the directed commit-pipeline tests.
   Journal* journal_for_test() { return &journal_; }
   // Inodes currently on the on-disk orphan list (unlinked, awaiting reclamation).

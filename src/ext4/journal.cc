@@ -300,9 +300,7 @@ void Journal::CommitRunning(bool fsync_barrier, const char* who) {
            !requested_tid_.compare_exchange_weak(prev, target,
                                                  std::memory_order_acq_rel)) {
     }
-    service_pool_->Submit(reinterpret_cast<uint64_t>(this),
-                          [this] { ServiceCommitPass(); },
-                          /*dedup_queued=*/true);
+    service_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { ServiceCommitPass(); });
     WaitForCommit(target);
     return;
   }

@@ -3,11 +3,11 @@
 // Subsystems register what they can report; nothing is pushed. A *counter* is a
 // monotonically increasing atomic owned by the registry (stable address, relaxed
 // increments on the hot path). A *gauge* is a callback evaluated at snapshot time —
-// journal pipeline depth, publisher queue depth, staging-pool occupancy, epoch
-// retire-list length, oplog fill — so the instantaneous value is read from the owning
-// structure under that structure's own synchronization.
+// journal pipeline depth, staging-pool occupancy, epoch retire-list length, oplog
+// fill — so the instantaneous value is read from the owning structure under that
+// structure's own synchronization.
 //
-// Snapshot discipline (the DumpMetrics race fix): every dump takes the registry lock
+// Snapshot discipline (the dump race fix): every dump takes the registry lock
 // and evaluates each gauge exactly once into one vector — one atomic cut per dump,
 // never a value re-read mid-formatting. Gauge callbacks must themselves read shared
 // state with acquire loads (or under the owning lock); the registry's contract is that

@@ -188,20 +188,17 @@ void Device::Crash(common::Rng* rng) {
   });
 }
 
-std::vector<uint64_t> Device::SortedPendingLinesLocked() const {
+void Device::CrashWith(const LineFateFn& fate) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SPLITFS_CHECK(tracking_);
+  // Ascending line order, whatever the hash map's: the fate sees a deterministic
+  // (line, ordinal) sequence.
   std::vector<uint64_t> lines;
   lines.reserve(pending_.size());
   for (const auto& [line, state] : pending_) {
     lines.push_back(line);
   }
   std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-void Device::CrashWith(const LineFateFn& fate) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SPLITFS_CHECK(tracking_);
-  std::vector<uint64_t> lines = SortedPendingLinesLocked();
   constexpr uint64_t kChunk = 8;  // One survival bit per 8-byte drain unit.
   for (uint64_t ordinal = 0; ordinal < lines.size(); ++ordinal) {
     uint64_t line = lines[ordinal];
@@ -227,11 +224,6 @@ void Device::CrashWith(const LineFateFn& fate) {
 uint64_t Device::UnpersistedLines() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
-}
-
-std::vector<uint64_t> Device::PendingLineIndices() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return SortedPendingLinesLocked();
 }
 
 }  // namespace pmem

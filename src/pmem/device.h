@@ -149,8 +149,6 @@ class Device {
 
   // Number of cachelines currently dirty-but-unpersisted (test introspection).
   uint64_t UnpersistedLines() const;
-  // Their indices, sorted ascending (crash-state enumeration).
-  std::vector<uint64_t> PendingLineIndices() const;
 
  private:
   struct LineState {
@@ -159,8 +157,6 @@ class Device {
   };
 
   void TrackStore(uint64_t off, uint64_t n, bool flushed);
-  // Caller holds mu_.
-  std::vector<uint64_t> SortedPendingLinesLocked() const;
 
   sim::Context* ctx_;
   std::vector<uint8_t> data_;

@@ -260,8 +260,7 @@ class ResourceStamp {
 
 // Brackets work that really happens on the calling thread but belongs to a
 // background context of the simulated machine — staging replenishment, retirement of
-// epoch-reclaimed snapshots, the deterministic inline mode of the async relink
-// publisher. The elapsed virtual charge is rewound on destruction, so foreground
+// epoch-reclaimed snapshots, the async relink publish. The elapsed virtual charge is rewound on destruction, so foreground
 // timelines are identical whether the background work runs inline (deterministic
 // store sequence, what the crash harness needs) or on a real thread (whose charges
 // land on the shared timeline that lane-based measurements ignore).

@@ -11,7 +11,6 @@ TenantRouter::TenantRouter(ext4sim::Ext4Dax* kfs, RouterOptions ropts)
     : kfs_(kfs),
       ctx_(kfs->context()),
       ropts_(ropts),
-      publisher_pool_("tenant.publishers", ropts.publisher_threads),
       replenisher_pool_("tenant.replenishers", ropts.replenisher_threads) {
   if (ropts_.journal_service) {
     journal_pool_ = std::make_unique<common::ServicePool>("tenant.journal", 1);
@@ -21,8 +20,8 @@ TenantRouter::TenantRouter(ext4sim::Ext4Dax* kfs, RouterOptions ropts)
 
 TenantRouter::~TenantRouter() {
   // Tear tenants down while the pools are still alive: each instance's teardown
-  // drains its registered passes (StopPublisher -> pool Drain). Gauges read
-  // through tenant state, so they go first.
+  // drains its registered replenish passes. Gauges read through tenant state, so
+  // they go first.
   {
     std::unique_lock<std::shared_mutex> tl(tenants_mu_);
     for (auto& [id, t] : tenants_) {
@@ -44,7 +43,7 @@ TenantRouter::~TenantRouter() {
 std::string TenantRouter::Name() const { return "TenantRouter"; }
 
 int TenantRouter::ServiceThreads() const {
-  return publisher_pool_.threads() + replenisher_pool_.threads() +
+  return replenisher_pool_.threads() +
          (journal_pool_ != nullptr ? journal_pool_->threads() : 0);
 }
 
@@ -97,7 +96,6 @@ int TenantRouter::Mount(const std::string& tenant_id, const TenantOptions& topts
         topts.journal_credits_per_sec, topts.journal_credit_burst);
   }
   splitfs::Services svcs;
-  svcs.publisher_pool = &publisher_pool_;
   svcs.replenisher_pool = &replenisher_pool_;
   svcs.staging_tokens = t->staging_tokens.get();
   svcs.journal_credits = t->journal_credits.get();
@@ -116,15 +114,12 @@ int TenantRouter::Mount(const std::string& tenant_id, const TenantOptions& topts
   obs::MetricsRegistry* m = &ctx_->obs.metrics;
   sim::TokenBucket* jc = t->journal_credits.get();
   sim::TokenBucket* st = t->staging_tokens.get();
-  splitfs::SplitFs* fs = t->fs.get();
   m->RegisterGauge("tenant." + tenant_id + ".journal_credits", [jc]() -> uint64_t {
     return jc == nullptr ? 0 : static_cast<uint64_t>(jc->Available());
   });
   m->RegisterGauge("tenant." + tenant_id + ".staging_tokens", [st]() -> uint64_t {
     return st == nullptr ? 0 : static_cast<uint64_t>(st->Available());
   });
-  m->RegisterGauge("tenant." + tenant_id + ".publish_queue_depth",
-                   [fs]() -> uint64_t { return fs->PublishQueueDepth(); });
   // Shared-journal attribution: service time of coalesced commits that satisfied
   // this tenant's fsyncs/metadata syncs, split per tenant by the commit pipeline
   // (Journal::AttributeCommitService). The key is the instance tag the tenant's
@@ -142,15 +137,10 @@ int TenantRouter::Unmount(const std::string& tenant_id) {
   if (t == nullptr) {
     return -ENOENT;
   }
-  // Drain the tenant's queued publishes on THIS thread before anything is torn
-  // down: the data its fsyncs acknowledged reaches K-Split, and a power cut here
-  // is a catchable crash state (the tenant is still mounted if we unwind).
-  t->fs->DrainQueuedPublishes();
-  t->fs->WaitForPublishes();
-
   ctx_->obs.metrics.DeregisterGauges("tenant." + tenant_id + ".");
-  // Invalidate the tenant's router fds; close their inner descriptors (close
-  // publishes any straggler staged data, per §3.4).
+  // Invalidate the tenant's router fds; close their inner descriptors on THIS
+  // thread (close publishes any straggler staged data, per §3.4). A power cut here
+  // is a catchable crash state: the tenant is still mounted if we unwind.
   std::vector<int> inner;
   {
     std::unique_lock<std::shared_mutex> fl(fds_mu_);
@@ -188,20 +178,6 @@ size_t TenantRouter::TenantCount() const {
 splitfs::SplitFs* TenantRouter::tenant_fs(const std::string& tenant_id) const {
   std::shared_ptr<Tenant> t = FindTenant(tenant_id);
   return t == nullptr ? nullptr : t->fs.get();
-}
-
-void TenantRouter::DrainAllPublishes() {
-  std::vector<std::shared_ptr<Tenant>> snapshot;
-  {
-    std::shared_lock<std::shared_mutex> tl(tenants_mu_);
-    snapshot.reserve(tenants_.size());
-    for (const auto& [id, t] : tenants_) {
-      snapshot.push_back(t);
-    }
-  }
-  for (const auto& t : snapshot) {
-    t->fs->DrainQueuedPublishes();
-  }
 }
 
 // --- vfs::FileSystem ----------------------------------------------------------------

@@ -9,12 +9,12 @@
 // that maps each handed-out fd to its tenant and inner descriptor, and goes stale
 // (EBADF) the moment the tenant unmounts.
 //
-// Service threads are the point: an unwired instance owns a 1-worker publisher
-// pool and a 1-worker replenisher pool, so N of them burn 2N threads. The router
-// owns three bounded pools — one publisher pool, one staging-replenisher pool,
-// one journal-commit service — and every mounted instance registers its passes
-// with them instead of owning pools, so 64 tenants (or thousands) run on
-// ServiceThreads() == 3 by default.
+// Service threads are the point: an unwired instance with replenish_thread owns a
+// 1-worker replenisher pool, so N of them burn N threads. The router owns two
+// bounded pools — one staging-replenisher pool, one journal-commit service — and
+// every mounted instance registers its passes with them instead of owning pools,
+// so 64 tenants (or thousands) run on ServiceThreads() == 2 by default. Async
+// relink needs no thread: each instance publishes on the fsync/close caller.
 //
 // QoS: per-tenant token buckets pace the two shared amplifiers — staging-file
 // consumption and foreground journal commits — on the tenant's own virtual
@@ -23,10 +23,10 @@
 // tenant.<id>.staging_throttle) instead of starving a posix-mode neighbor.
 // Zero rates mean unlimited.
 //
-// Determinism caveat: shared pool workers interleave tenants' background publishes
-// in real-time arrival order, as any background publisher does. Crash cells that
-// need a deterministic store sequence run with RouterOptions::journal_service off
-// and publishers paused, and drain through DrainAllPublishes() on the test thread.
+// Determinism caveat: shared pool workers interleave tenants' background work in
+// real-time arrival order. Crash cells that need a deterministic store sequence
+// run with RouterOptions::journal_service off and replenish_thread off, so every
+// store lands on the driving thread.
 #ifndef SRC_TENANT_TENANT_ROUTER_H_
 #define SRC_TENANT_TENANT_ROUTER_H_
 
@@ -59,7 +59,6 @@ struct TenantOptions {
 };
 
 struct RouterOptions {
-  int publisher_threads = 1;
   int replenisher_threads = 1;
   // Route the shared kernel journal's commits through a one-thread commit service
   // (callers sleep in log_wait_commit while the worker seals + writes out). Off for
@@ -81,10 +80,10 @@ class TenantRouter : public vfs::FileSystem {
   // Returns 0, -EEXIST (already mounted), or -EINVAL (bad id).
   int Mount(const std::string& tenant_id, const TenantOptions& topts);
 
-  // Unmounts a tenant: drains its queued publishes through the calling thread
-  // (never a destructor — a crash signal must be catchable here), closes its
-  // router fds, deregisters its gauges, and tears the instance down. Returns 0 or
-  // -ENOENT.
+  // Unmounts a tenant: deregisters its gauges, closes its router fds on the
+  // calling thread (close publishes staged data, §3.4 — never in a destructor, so
+  // a crash signal is catchable here and leaves the tenant mounted), and tears
+  // the instance down. Returns 0 or -ENOENT.
   int Unmount(const std::string& tenant_id);
 
   bool IsMounted(const std::string& tenant_id) const;
@@ -94,9 +93,6 @@ class TenantRouter : public vfs::FileSystem {
   // The mounted instance (introspection / tests); nullptr when not mounted. The
   // pointer is owned by the router and dies at Unmount.
   splitfs::SplitFs* tenant_fs(const std::string& tenant_id) const;
-  // Quiesces every tenant's publish queue on the calling thread (tenant churn and
-  // crash cells: a cross-tenant drain whose stores land on this thread).
-  void DrainAllPublishes();
 
   std::string Name() const override;
 
@@ -142,8 +138,7 @@ class TenantRouter : public vfs::FileSystem {
   sim::Context* ctx_;
   RouterOptions ropts_;
 
-  // Shared bounded service pools (the <= 3 threads serving every tenant).
-  common::ServicePool publisher_pool_;
+  // Shared bounded service pools (the <= 2 threads serving every tenant).
   common::ServicePool replenisher_pool_;
   std::unique_ptr<common::ServicePool> journal_pool_;  // When journal_service.
 

@@ -9,15 +9,8 @@
 #include "src/apps/kv_lsm.h"
 #include "src/common/random.h"
 #include "src/common/threading.h"
-#include "src/core/split_fs.h"
 
 namespace wl {
-
-void DrainBackground(vfs::FileSystem* fs) {
-  if (auto* sfs = dynamic_cast<splitfs::SplitFs*>(fs)) {
-    sfs->WaitForPublishes();
-  }
-}
 
 namespace {
 
@@ -136,7 +129,6 @@ ParallelResult RunParallelRead(vfs::FileSystem* fs, sim::Clock* clock, int threa
     SPLITFS_CHECK_OK(fs->Fsync(fd));
     SPLITFS_CHECK_OK(fs->Close(fd));
   }
-  DrainBackground(fs);  // Reads must hit published files, whatever publishes cost.
 
   ParallelResult res;
   std::atomic<uint64_t> ops{0};
@@ -207,7 +199,6 @@ ParallelResult RunParallelSharedHotFile(vfs::FileSystem* fs, sim::Clock* clock,
                     static_cast<ssize_t>(span));
     }
   }
-  DrainBackground(fs);
 
   // Timed phase: pure in-size data writes through ONE shared open file — the path
   // the range-granular locks parallelize. No per-thread fsync/close inside the
@@ -247,7 +238,6 @@ ParallelResult RunParallelSharedHotFile(vfs::FileSystem* fs, sim::Clock* clock,
   if (fs->Fsync(fd) != 0) {
     ++res.errors;
   }
-  DrainBackground(fs);
   vfs::StatBuf st;
   if (fs->Fstat(fd, &st) != 0 || st.size != file_bytes) {
     ++res.errors;
@@ -369,7 +359,6 @@ ParallelResult RunParallelYcsbC(vfs::FileSystem* fs, sim::Clock* clock, int thre
       SPLITFS_CHECK_OK(stores.back()->Put(key_for(t, k), value));
     }
   }
-  DrainBackground(fs);  // Timed gets read published tables, deterministically.
 
   ParallelResult res;
   std::atomic<uint64_t> ops{0};

@@ -81,11 +81,6 @@ ParallelResult RunParallelYcsbC(vfs::FileSystem* fs, sim::Clock* clock, int thre
                                 const std::string& dir, uint64_t records_per_thread,
                                 uint64_t ops_per_thread, uint64_t seed);
 
-// Completion fence for asynchronous background work (the async relink publisher):
-// no-op for file systems without one. Drivers call it between an untimed prepare
-// phase and the timed phase, so measurements never depend on publisher timing.
-void DrainBackground(vfs::FileSystem* fs);
-
 }  // namespace wl
 
 #endif  // SRC_WORKLOADS_PARALLEL_H_

@@ -89,14 +89,17 @@ TEST_P(AppsTest, KvCompactionPreservesNewestVersions) {
   apps::KvLsm kv(fs_, "/db", o);
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 100; ++i) {
-      ASSERT_EQ(kv.Put("k" + std::to_string(i),
-                       "r" + std::to_string(round) + "-" + std::string(200, 'y')),
+      // append(), not "k" + to_string: GCC 12 -O3 flags that form with a false
+      // -Wrestrict positive.
+      ASSERT_EQ(kv.Put(std::string("k").append(std::to_string(i)),
+                       std::string("r").append(std::to_string(round)) + "-" +
+                           std::string(200, 'y')),
                 0);
     }
   }
   EXPECT_GT(kv.Compactions(), 0u);
   for (int i = 0; i < 100; ++i) {
-    auto v = kv.Get("k" + std::to_string(i));
+    auto v = kv.Get(std::string("k").append(std::to_string(i)));
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->substr(0, 2), "r5");  // Newest round wins.
   }
@@ -137,13 +140,14 @@ TEST_P(AppsTest, KvRecoversTablesAfterReopen) {
     o.memtable_bytes = 16 * 1024;
     apps::KvLsm kv(fs_, "/db", o);
     for (int i = 0; i < 300; ++i) {
-      ASSERT_EQ(kv.Put("t" + std::to_string(i), std::string(150, 'q')), 0);
+      ASSERT_EQ(kv.Put(std::string("t").append(std::to_string(i)), std::string(150, 'q')),
+                0);
     }
     EXPECT_GT(kv.Flushes(), 0u);
   }
   apps::KvLsm kv2(fs_, "/db");
   for (int i = 0; i < 300; i += 23) {
-    EXPECT_TRUE(kv2.Get("t" + std::to_string(i)).has_value()) << i;
+    EXPECT_TRUE(kv2.Get(std::string("t").append(std::to_string(i))).has_value()) << i;
   }
 }
 
@@ -151,7 +155,9 @@ TEST_P(AppsTest, AofSetGetReplayAndRewrite) {
   {
     apps::AofStore redis(fs_, "/redis");
     for (int i = 0; i < 100; ++i) {
-      ASSERT_EQ(redis.Set("key" + std::to_string(i), "v" + std::to_string(i)), 0);
+      ASSERT_EQ(redis.Set("key" + std::to_string(i),
+                          std::string("v").append(std::to_string(i))),
+                0);
     }
     ASSERT_EQ(redis.Del("key50"), 0);
   }

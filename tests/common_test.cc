@@ -266,8 +266,8 @@ TEST(ServicePool, DedupDropsASubmitOnlyWhileItsTwinIsQueued) {
     release_blocker.Wait();
   });
   blocker_running.Wait();
-  pool.Submit(2, [&] { runs.fetch_add(1); }, /*dedup_queued=*/true);
-  pool.Submit(2, [&] { runs.fetch_add(1); }, /*dedup_queued=*/true);  // Absorbed.
+  pool.Submit(2, [&] { runs.fetch_add(1); });
+  pool.Submit(2, [&] { runs.fetch_add(1); });  // Absorbed.
   EXPECT_EQ(pool.QueueDepth(), 1u);
   release_blocker.Open();
   pool.Drain(2);
@@ -279,9 +279,9 @@ TEST(ServicePool, DedupDropsASubmitOnlyWhileItsTwinIsQueued) {
     runs.fetch_add(1);
     twin_running.Open();
     release_twin.Wait();
-  }, /*dedup_queued=*/true);
+  });
   twin_running.Wait();
-  pool.Submit(3, [&] { runs.fetch_add(1); }, /*dedup_queued=*/true);
+  pool.Submit(3, [&] { runs.fetch_add(1); });
   EXPECT_EQ(pool.QueueDepth(), 1u);
   release_twin.Open();
   pool.Drain(3);

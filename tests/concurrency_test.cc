@@ -6,27 +6,24 @@
 //   * pread concurrent with relink publication reads consistent committed data;
 //   * lock-free Translate during relink/unlink/truncate churn (epoch snapshots);
 //   * same-shard churn: table swaps never hide or free a pinned reader's mapping;
-//   * async publisher ordering: readers see the staged or the published snapshot,
-//     never a torn window, and the completion fence drains the queue;
+//   * async relink ordering: readers see the staged or the published snapshot,
+//     never a torn window;
 //   * fd-table open/close/dup stress: descriptors never cross-talk, dup shares one
 //     cursor, close invalidates exactly one descriptor;
 //   * disjoint-offset same-file writers and disjoint-file workers in parallel;
 //   * open race on one path (and rename racing a first open of the destination)
 //     keeps exactly one cached state;
-//   * close() of a file whose publish is already queued acks nothing an append
-//     racing it could slip into (forced through the close-ack test hook);
-//   * one background executor: a single-tenant instance's publisher and
-//     replenisher are two owned 1-worker pools (two OS threads, joined at
-//     teardown), and teardown publishes whatever a paused publisher left queued;
+//   * one background executor: a single-tenant instance's replenisher is an owned
+//     1-worker pool (one OS thread, joined at teardown), and async relink adds no
+//     thread;
 //   * counter integrity (relinks, staging pool) under concurrency.
 //
-// Every suite runs twice per mode: synchronous publication and the async relink
-// publisher (Options::async_relink + publish passes on the instance's 1-worker
-// publisher pool), so the TSan pass of scripts/check.sh exercises the
-// intent-log/publish/fence protocol.
+// Every suite runs twice per mode: synchronous publication (`_inline`) and async
+// relink (`_async`: Options::async_relink, intents fenced and then published on
+// the fsync/close caller), so the TSan pass of scripts/check.sh exercises the
+// intent-log/publish/fence protocol under concurrent writers.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -36,9 +33,7 @@
 #include <tuple>
 #include <vector>
 
-#include "src/analysis/persist_checker.h"
 #include "src/common/bytes.h"
-#include "src/common/service_pool.h"
 #include "src/core/split_fs.h"
 #include "src/ext4/fsck.h"
 #include "src/workloads/parallel.h"
@@ -61,10 +56,7 @@ Options ConcurrentOptions(Mode mode, bool async_publish) {
   o.staging_file_bytes = 8 * kMiB;
   o.oplog_bytes = 4 * kMiB;
   o.replenish_thread = true;  // Exercise the real §3.5 replenisher under TSan.
-  if (async_publish) {
-    o.async_relink = true;
-    o.publisher_thread = true;  // The real background publisher, under TSan too.
-  }
+  o.async_relink = async_publish;
   return o;
 }
 
@@ -78,9 +70,6 @@ class ConcurrencyTest : public ::testing::TestWithParam<std::tuple<Mode, bool>> 
 
   Mode mode() const { return std::get<0>(GetParam()); }
   bool async() const { return std::get<1>(GetParam()); }
-  // Publish completion fence: settles counters (relinks, staged bytes) before
-  // assertions; no-op in the synchronous configurations.
-  void Settle() { fs_->WaitForPublishes(); }
 
   sim::Context ctx_;
   pmem::Device dev_;
@@ -224,7 +213,6 @@ TEST_P(ConcurrencyTest, PreadDuringRelinkSeesConsistentData) {
     r.join();
   }
   EXPECT_EQ(read_errors.load(), 0u);
-  Settle();  // Async: the queued publishes must have really relinked.
   EXPECT_GT(fs_->Relinks(), 0u);
   fs_->Close(wfd);
 }
@@ -433,9 +421,7 @@ TEST_P(ConcurrencyTest, AsyncPublishDrainsAndMatchesWrittenImage) {
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(read_errors.load(), 0u);
-  Settle();  // Completion fence: queue drained, publishes committed.
   EXPECT_EQ(fs_->StagedBytes(), 0u);
-  EXPECT_EQ(fs_->PublishErrors(), 0u);
   EXPECT_GT(fs_->Relinks(), 0u);
   if (async()) {
     EXPECT_GT(fs_->AsyncPublishes(), 0u);
@@ -465,8 +451,7 @@ TEST(AsyncRelinkCheckpoint, LogFullCheckpointDoesNotDeadlockAndKeepsData) {
     ext4sim::Ext4Dax kfs(&dev);
     Options o = ConcurrentOptions(mode, /*async_publish=*/true);
     o.replenish_thread = false;
-    o.publisher_thread = false;   // Inline deferred publish: deterministic.
-    o.oplog_bytes = 64 * 1024;    // 1024 entries: checkpoints early and often.
+    o.oplog_bytes = 64 * 1024;  // 1024 entries: checkpoints early and often.
     SplitFs fs(&kfs, o);
     // A second file that stays dirty (staged, never fsync'd): the checkpoint's
     // try-lock sweep — which runs under the checkpoint mutex, where a recursive
@@ -569,66 +554,12 @@ TEST_P(ConcurrencyTest, RenameVsFirstOpenKeepsStagedState) {
   }
 }
 
-// --- close() of an already-queued file vs. a concurrent append ------------------------
-
-TEST(CloseAckRaceTest, QueuedCloseClaimsNoDurabilityOverConcurrentAppend) {
-  // With the async publisher, close() of a file whose publish is already queued is
-  // an async ack: the intent fence covered its runs and the queued publish relinks
-  // them. Close used to treat that case as a synchronous publish and claim
-  // durability after dropping the whole-file lock, so an append landing in between
-  // — streamed with non-temporal stores, not yet fenced — was acked as durable
-  // (PersistChecker acked_but_volatile at splitfs.close). The hook runs the append
-  // in exactly that window; no lock is held there, so it stands in for a concurrent
-  // appender. The replenisher stays inline and the publisher stays parked, so no
-  // background fence can make the append durable by luck.
-  analysis::PersistChecker checker(analysis::PersistChecker::Mode::kCollect);
-  sim::Context ctx;
-  pmem::Device dev(&ctx, 2 * common::kGiB);
-  dev.SetPersistChecker(&checker);
-  ext4sim::Ext4Dax kfs(&dev);
-  Options opts = ConcurrentOptions(Mode::kPosix, /*async_publish=*/true);
-  opts.replenish_thread = false;
-  SplitFs fs(&kfs, opts);
-
-  fs.set_publisher_paused_for_test(true);
-  int fd = fs.Open("/closeack", vfs::kRdWr | vfs::kCreate | vfs::kAppend);
-  int afd = fs.Open("/closeack", vfs::kRdWr | vfs::kAppend);
-  ASSERT_GE(fd, 0);
-  ASSERT_GE(afd, 0);
-  std::vector<uint8_t> first(kBlockSize, 0x3C);
-  std::vector<uint8_t> second(kBlockSize, 0xC3);
-  ASSERT_EQ(fs.Write(fd, first.data(), kBlockSize), static_cast<ssize_t>(kBlockSize));
-  ASSERT_EQ(fs.Fsync(fd), 0);  // Intents fenced; the publish is queued and parked.
-
-  bool appended = false;
-  fs.set_close_ack_hook_for_test([&] {
-    appended = fs.Write(afd, second.data(), kBlockSize) == static_cast<ssize_t>(kBlockSize);
-  });
-  ASSERT_EQ(fs.Close(fd), 0);
-  fs.set_close_ack_hook_for_test(nullptr);
-  ASSERT_TRUE(appended);
-  for (const auto& v : checker.violations()) {
-    ADD_FAILURE() << v.rule << " at " << v.site << ": " << v.detail;
-  }
-
-  // The append's own fsync is its durability point; both records then publish.
-  fs.set_publisher_paused_for_test(false);
-  ASSERT_EQ(fs.Fsync(afd), 0);
-  fs.WaitForPublishes();
-  std::vector<uint8_t> back(2 * kBlockSize);
-  ASSERT_EQ(fs.Pread(afd, back.data(), back.size(), 0), static_cast<ssize_t>(back.size()));
-  EXPECT_TRUE(std::equal(first.begin(), first.end(), back.begin()));
-  EXPECT_TRUE(std::equal(second.begin(), second.end(), back.begin() + kBlockSize));
-  ASSERT_EQ(fs.Close(afd), 0);
-  EXPECT_EQ(checker.violation_count(), 0u);
-}
-
 // --- One background executor ---------------------------------------------------------
 
-TEST(BackgroundExecutor, SingleTenantServicesAddTwoOsThreadsAndJoinThem) {
-  // Without Services wiring, the async publisher and the §3.5 replenisher each run
-  // on a 1-worker pool the instance owns: exactly two OS threads while it lives,
-  // none left after it is destroyed. Work through both services spawns nothing.
+TEST(BackgroundExecutor, SingleTenantServicesAddOneOsThreadAndJoinIt) {
+  // Without Services wiring, the §3.5 replenisher runs on a 1-worker pool the
+  // instance owns: exactly one OS thread while it lives, none left after it is
+  // destroyed. Async relink publishes on the caller and spawns nothing.
   if (testutil::OsThreadCount() < 0) {
     GTEST_SKIP() << "/proc/self/task is not readable here";
   }
@@ -639,86 +570,27 @@ TEST(BackgroundExecutor, SingleTenantServicesAddTwoOsThreadsAndJoinThem) {
   const int baseline = testutil::SettledOsThreadCount();
   {
     SplitFs fs(&kfs, ConcurrentOptions(Mode::kPosix, /*async_publish=*/true));
-    EXPECT_EQ(testutil::OsThreadCount(), baseline + 2);
+    EXPECT_EQ(testutil::OsThreadCount(), baseline + 1);
     int fd = fs.Open("/threads", vfs::kRdWr | vfs::kCreate);
     ASSERT_GE(fd, 0);
     // Enough appends to consume staging files (replenish passes) and fsyncs to
-    // queue publishes (publish passes).
+    // publish them.
     std::vector<uint8_t> chunk(1 * kMiB, 0x6B);
     for (int i = 0; i < 20; ++i) {
       ASSERT_EQ(fs.Write(fd, chunk.data(), chunk.size()),
                 static_cast<ssize_t>(chunk.size()));
       ASSERT_EQ(fs.Fsync(fd), 0);
     }
-    fs.WaitForPublishes();
-    EXPECT_GT(fs.AsyncPublishes(), 0u);
+    EXPECT_EQ(fs.AsyncPublishes(), 20u);
     // Replenish passes have no completion fence; poll for the first one.
     for (int i = 0; i < 2000 && fs.staging_pool().BackgroundCreations() == 0; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_GT(fs.staging_pool().BackgroundCreations(), 0u);
-    EXPECT_EQ(testutil::OsThreadCount(), baseline + 2);
+    EXPECT_EQ(testutil::OsThreadCount(), baseline + 1);
     ASSERT_EQ(fs.Close(fd), 0);
   }
   EXPECT_EQ(testutil::OsThreadCountSettlingTo(baseline), baseline);
-}
-
-TEST(BackgroundExecutor, TeardownPublishesWhatAPausedPublisherLeftQueued) {
-  // StopPublisher's one path: teardown lifts the test pause, fences the pool, and
-  // publishes the still-queued files on the destroying thread. Every fsync below
-  // was acknowledged at its intent fence, so K-Split alone — no Recover — must
-  // afterwards hold each file at full size with its bytes. Run on the instance's
-  // own pool and on a pool wired in through Services; the wired pool is drained
-  // before teardown, so no pass scheduled by the enqueues can run after the pause
-  // lifts and only the teardown drain can publish.
-  constexpr int kFiles = 3;
-  constexpr uint64_t kBytes = 3 * kBlockSize + 100;  // Unaligned tail.
-  auto payload = [](int f, uint64_t i) {
-    return static_cast<uint8_t>(0x5A ^ (f * 31) ^ (i * 7));
-  };
-  for (bool wired : {false, true}) {
-    SCOPED_TRACE(wired ? "Services::publisher_pool" : "owned publisher pool");
-    sim::Context ctx;
-    pmem::Device dev(&ctx, 256 * kMiB);
-    ext4sim::Ext4Dax kfs(&dev);
-    common::ServicePool publishers("test.publishers");
-    splitfs::Services services;
-    if (wired) {
-      services.publisher_pool = &publishers;
-    }
-    {
-      SplitFs fs(&kfs, ConcurrentOptions(Mode::kPosix, /*async_publish=*/true), "u0",
-                 services);
-      fs.set_publisher_paused_for_test(true);
-      for (int f = 0; f < kFiles; ++f) {
-        int fd = fs.Open("/teardown" + std::to_string(f), vfs::kRdWr | vfs::kCreate);
-        ASSERT_GE(fd, 0);
-        std::vector<uint8_t> data(kBytes);
-        for (uint64_t i = 0; i < kBytes; ++i) {
-          data[i] = payload(f, i);
-        }
-        ASSERT_EQ(fs.Pwrite(fd, data.data(), kBytes, 0), static_cast<ssize_t>(kBytes));
-        ASSERT_EQ(fs.Fsync(fd), 0);  // Acked at the intent fence; queued, parked.
-      }
-      publishers.DrainAll();
-      ASSERT_EQ(fs.PublishQueueDepth(), static_cast<size_t>(kFiles));
-      ASSERT_EQ(fs.Relinks(), 0u);
-    }  // Destroyed with the publisher still paused and every file queued.
-    for (int f = 0; f < kFiles; ++f) {
-      const std::string path = "/teardown" + std::to_string(f);
-      vfs::StatBuf st;
-      ASSERT_EQ(kfs.Stat(path, &st), 0) << path;
-      EXPECT_EQ(st.size, kBytes) << path;
-      int kfd = kfs.Open(path, vfs::kRdOnly);
-      ASSERT_GE(kfd, 0) << path;
-      std::vector<uint8_t> back(kBytes);
-      ASSERT_EQ(kfs.Pread(kfd, back.data(), kBytes, 0), static_cast<ssize_t>(kBytes));
-      for (uint64_t i = 0; i < kBytes; ++i) {
-        ASSERT_EQ(back[i], payload(f, i)) << path << " byte " << i;
-      }
-      ASSERT_EQ(kfs.Close(kfd), 0);
-    }
-  }
 }
 
 // --- fd table stress ------------------------------------------------------------------
@@ -1323,12 +1195,10 @@ TEST_P(ConcurrencyTest, ParallelAppendDriverRunsCleanAndCountsAdd) {
   EXPECT_EQ(r.errors, 0u);
   EXPECT_EQ(r.ops, static_cast<uint64_t>(kThreads) * (2 * kMiB / 4096));
   EXPECT_GT(r.elapsed_ns, 0u);
-  Settle();
   EXPECT_GT(fs_->Relinks(), 0u);  // Publishes happened, counted without tearing.
   if (mode() == Mode::kStrict || async()) {
     EXPECT_GT(fs_->OpLogEntries(), 0u);  // Strict ops, or async relink intents.
   }
-  EXPECT_EQ(fs_->PublishErrors(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 // (ctest -LE crash_matrix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/crash/crash_runner.h"
@@ -166,30 +167,20 @@ TEST(CrashMatrixSmoke, AsyncRelinkDeterministicUnderFixedSeed) {
   EXPECT_EQ(a.failures, b.failures);
 }
 
-// The async contract end-to-end: with the real publisher parked, fsync returns once
-// the relink intents are fenced; a crash before any relink ran must still recover
-// the acknowledged bytes — recovery replays the intents. (Also the regression test
-// for the recovery-scan bug that silently discarded intent records: op codes above
+// The async contract end-to-end: an async-relink fsync's durability point is its
+// intent fence. A power cut at the next fence — after the staged data and the one
+// intent entry are fenced, before any relink store — must still recover the
+// acknowledged bytes: recovery replays the intents. (Also the regression test for
+// the recovery-scan bug that silently discarded intent records: op codes above
 // kRenameTo failed structural validation, so exactly the entries that make an
 // acknowledged-but-unpublished fsync recoverable were dropped.)
-TEST(CrashMatrixSmoke, AckedButUnpublishedFsyncRecoversFromIntents) {
-  for (splitfs::Mode mode : {splitfs::Mode::kPosix, splitfs::Mode::kStrict}) {
-    auto w = std::make_unique<crash::World>();
-    w->dev = std::make_unique<pmem::Device>(&w->ctx, 64 * common::kMiB);
-    w->kfs = std::make_unique<ext4sim::Ext4Dax>(w->dev.get());
-    splitfs::Options o;
-    o.mode = mode;
-    o.num_staging_files = 2;
-    o.staging_file_bytes = 4 * common::kMiB;
-    o.oplog_bytes = 256 * common::kKiB;
-    o.async_relink = true;
-    o.publisher_thread = true;
-    auto sfs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
-    splitfs::SplitFs* fs = sfs.get();
-    w->fs = std::move(sfs);
+TEST(CrashMatrixSmoke, IntentsAloneRecoverAnAsyncFsync) {
+  for (splitfs::Mode mode : {splitfs::Mode::kPosix, splitfs::Mode::kSync}) {
+    SCOPED_TRACE(splitfs::ModeName(mode));
+    std::unique_ptr<crash::World> w =
+        crash::SplitFsWorldFactory(mode, /*async_relink=*/true)();
     w->dev->EnableCrashTracking(true);
-    fs->set_publisher_paused_for_test(true);  // Intents fence; relinks never run.
-
+    vfs::FileSystem* fs = w->fs.get();
     int fd = fs->Open("/acked", vfs::kRdWr | vfs::kCreate);
     ASSERT_GE(fd, 0);
     ASSERT_EQ(fs->Fsync(fd), 0);  // The create itself is durable.
@@ -199,26 +190,35 @@ TEST(CrashMatrixSmoke, AckedButUnpublishedFsyncRecoversFromIntents) {
     }
     ASSERT_EQ(fs->Pwrite(fd, data.data(), data.size(), 0),
               static_cast<ssize_t>(data.size()));
-    ASSERT_EQ(fs->Fsync(fd), 0);  // Returns at the intent fence; publish queued.
-    EXPECT_EQ(fs->Relinks(), 0u) << "publisher ran despite the pause";
+    // The fsync's fences: #0 drains the staged data, #1 persists the intent entry
+    // (the ack), #2 opens the publish, ahead of every relink store.
+    crash::CrashInjector injector(
+        {crash::CrashPoint::Trigger::kAtFence, w->dev->FenceEpoch() + 2});
+    w->dev->SetObserver(&injector);
+    bool crashed = false;
+    try {
+      fs->Fsync(fd);
+    } catch (const crash::CrashSignal&) {
+      crashed = true;
+    }
+    w->dev->SetObserver(nullptr);
+    ASSERT_TRUE(crashed);
 
-    w->dev->Crash();
+    w->dev->CrashWith(crash::MakeFate(FatePolicy::kDropAll, kSeed));
     ASSERT_EQ(w->RecoverAll(), 0);
-    fs->set_publisher_paused_for_test(false);
-
     int rfd = fs->Open("/acked", vfs::kRdOnly);
     ASSERT_GE(rfd, 0);
     vfs::StatBuf st;
     ASSERT_EQ(fs->Fstat(rfd, &st), 0);
-    EXPECT_EQ(st.size, data.size()) << splitfs::ModeName(mode);
+    EXPECT_EQ(st.size, data.size());
     std::vector<uint8_t> back(data.size());
     ASSERT_EQ(fs->Pread(rfd, back.data(), back.size(), 0),
               static_cast<ssize_t>(back.size()));
-    EXPECT_EQ(back, data) << splitfs::ModeName(mode);
+    EXPECT_EQ(back, data);
     fs->Close(rfd);
     ext4sim::FsckReport fsck = ext4sim::RunFsck(w->kfs.get());
     for (const auto& p : fsck.problems) {
-      ADD_FAILURE() << splitfs::ModeName(mode) << ": " << p;
+      ADD_FAILURE() << p;
     }
   }
 }
@@ -564,138 +564,18 @@ TEST(CrashMatrixSmoke, MidCheckpointCrashStatesAreDeterministic) {
   }
 }
 
-// One commit covering N files: three files fsync through the intent path (publisher
-// parked), then the queued batch is drained on the test thread with the injector
-// armed — the cut lands somewhere in the batch's relinks or its single shared
-// commit. Every file's fsync was acknowledged at its intent fence, so recovery
-// must restore ALL of them, whether their relinks happened or not.
-struct BatchCrashOutcome {
+// --- Tenant churn column --------------------------------------------------------------
+//
+// Power cuts during TenantRouter mount and during an unmount whose close publishes
+// staged data. The cells run with RouterOptions::journal_service and the staging
+// replenisher off so every store lands on the driving test thread (a CrashSignal on
+// a pool worker could not be caught), which also makes each state deterministic:
+// same ordinal + fate => byte-identical recovered fingerprint.
+
+struct ChurnCrashOutcome {
   bool crashed = false;
   uint64_t fingerprint = 0;
 };
-
-BatchCrashOutcome RunBatchedPublishCrashState(uint64_t store_ordinal,
-                                              crash::FatePolicy fate, uint64_t seed) {
-  BatchCrashOutcome out;
-  auto w = std::make_unique<crash::World>();
-  w->dev = std::make_unique<pmem::Device>(&w->ctx, 64 * common::kMiB);
-  w->kfs = std::make_unique<ext4sim::Ext4Dax>(w->dev.get());
-  splitfs::Options o;
-  o.mode = splitfs::Mode::kPosix;
-  o.num_staging_files = 2;
-  o.staging_file_bytes = 4 * common::kMiB;
-  o.oplog_bytes = 256 * common::kKiB;
-  o.async_relink = true;
-  o.publisher_thread = true;
-  auto sfs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
-  splitfs::SplitFs* fs = sfs.get();
-  w->fs = std::move(sfs);
-  w->dev->EnableCrashTracking(true);
-  fs->set_publisher_paused_for_test(true);  // The drain below runs the batch.
-
-  auto payload = [](int file, size_t i) {
-    return static_cast<uint8_t>(0x21 ^ (file * 59) ^ (i * 13));
-  };
-  constexpr int kFiles = 3;
-  constexpr size_t kBytes = 5000;
-  for (int f = 0; f < kFiles; ++f) {
-    std::string path = "/bat" + std::to_string(f);
-    int fd = fs->Open(path, vfs::kRdWr | vfs::kCreate);
-    SPLITFS_CHECK(fd >= 0);
-    std::vector<uint8_t> data(kBytes);
-    for (size_t i = 0; i < data.size(); ++i) {
-      data[i] = payload(f, i);
-    }
-    SPLITFS_CHECK(fs->Pwrite(fd, data.data(), data.size(), 0) ==
-                  static_cast<ssize_t>(data.size()));
-    SPLITFS_CHECK(fs->Fsync(fd) == 0);  // Acked at the intent fence; queued.
-  }
-  SPLITFS_CHECK(fs->Relinks() == 0);  // Publisher parked: nothing published yet.
-
-  crash::CrashInjector injector(
-      {crash::CrashPoint::Trigger::kAfterStore, store_ordinal});
-  w->dev->SetObserver(&injector);
-  try {
-    fs->DrainQueuedPublishes();
-  } catch (const crash::CrashSignal&) {
-    out.crashed = true;
-  }
-  w->dev->SetObserver(nullptr);
-  if (!out.crashed) {
-    return out;
-  }
-
-  w->dev->CrashWith(crash::MakeFate(fate, seed | 1));
-  SPLITFS_CHECK(w->RecoverAll() == 0);
-  fs->set_publisher_paused_for_test(false);
-
-  uint64_t fp = 14695981039346656037ull;
-  auto mix = [&fp](uint64_t v) { fp = (fp ^ v) * 1099511628211ull; };
-  for (int f = 0; f < kFiles; ++f) {
-    std::string path = "/bat" + std::to_string(f);
-    int rfd = fs->Open(path, vfs::kRdOnly);
-    EXPECT_GE(rfd, 0) << path << " lost after batched-publish crash";
-    if (rfd < 0) {
-      continue;
-    }
-    vfs::StatBuf st;
-    EXPECT_EQ(fs->Fstat(rfd, &st), 0);
-    EXPECT_EQ(st.size, kBytes) << path;
-    std::vector<uint8_t> back(kBytes);
-    EXPECT_EQ(fs->Pread(rfd, back.data(), back.size(), 0),
-              static_cast<ssize_t>(back.size()));
-    size_t diverged = 0;
-    for (size_t i = 0; i < back.size(); ++i) {
-      if (back[i] != payload(f, i)) {
-        ++diverged;
-      }
-    }
-    EXPECT_EQ(diverged, 0u) << path << ": " << diverged
-                            << " bytes diverged after recovery";
-    mix(st.size);
-    for (size_t i = 0; i < back.size(); i += 997) {
-      mix(back[i]);
-    }
-    fs->Close(rfd);
-  }
-  ext4sim::FsckReport fsck = ext4sim::RunFsck(w->kfs.get());
-  for (const auto& p : fsck.problems) {
-    ADD_FAILURE() << "batched publish @ store#" << store_ordinal << ": " << p;
-  }
-  mix(fsck.clean ? 1 : 0);
-  out.fingerprint = fp;
-  return out;
-}
-
-TEST(CrashMatrixSmoke, MidBatchedPublishCrashRecoversEveryAckedFile) {
-  int crashed_states = 0;
-  for (uint64_t store : {0ull, 3ull, 8ull}) {
-    for (crash::FatePolicy fate : {FatePolicy::kDropAll, FatePolicy::kTorn}) {
-      BatchCrashOutcome out = RunBatchedPublishCrashState(store, fate, kSeed);
-      ASSERT_TRUE(out.crashed) << "store#" << store << " never reached";
-      ++crashed_states;
-    }
-  }
-  EXPECT_EQ(crashed_states, 6);
-}
-
-TEST(CrashMatrixSmoke, MidBatchedPublishCrashStatesAreDeterministic) {
-  for (crash::FatePolicy fate : {FatePolicy::kSubset, FatePolicy::kTorn}) {
-    BatchCrashOutcome a = RunBatchedPublishCrashState(3, fate, kSeed);
-    BatchCrashOutcome b = RunBatchedPublishCrashState(3, fate, kSeed);
-    ASSERT_TRUE(a.crashed);
-    ASSERT_TRUE(b.crashed);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-  }
-}
-
-// --- Tenant churn column --------------------------------------------------------------
-//
-// Power cuts during TenantRouter mount, unmount-with-queued-publishes, and a
-// cross-tenant shared-pool drain. The cells run with RouterOptions::journal_service
-// off and publishers paused so every store lands on the driving test thread (a
-// CrashSignal on a pool worker could not be caught), which also makes each state
-// deterministic: same ordinal + fate => byte-identical recovered fingerprint.
 
 tenant::TenantOptions ChurnCellTenant(bool async_publish) {
   tenant::TenantOptions t;
@@ -704,10 +584,7 @@ tenant::TenantOptions ChurnCellTenant(bool async_publish) {
   t.fs.staging_file_bytes = common::kMiB;
   t.fs.oplog_bytes = 256 * common::kKiB;
   t.fs.replenish_thread = false;  // Inline refill: deterministic store sequence.
-  if (async_publish) {
-    t.fs.async_relink = true;
-    t.fs.publisher_thread = true;  // Pool passes exist but stay paused in the cells.
-  }
+  t.fs.async_relink = async_publish;
   return t;
 }
 
@@ -781,9 +658,9 @@ void CheckTenantFile(tenant::TenantRouter* router, const std::string& path,
 // Cell 1: power cut mid-Mount (staging pre-allocation, namespace mkdir). The
 // interrupted mount must leave the router clean, the established tenant intact,
 // and the same id must mount again after recovery over its leftover artifacts.
-BatchCrashOutcome RunMountCrashState(uint64_t store_ordinal, crash::FatePolicy fate,
+ChurnCrashOutcome RunMountCrashState(uint64_t store_ordinal, crash::FatePolicy fate,
                                      uint64_t seed) {
-  BatchCrashOutcome out;
+  ChurnCrashOutcome out;
   TenantWorld tw = MakeTenantWorld();
   tw.w->dev->EnableCrashTracking(true);
   SPLITFS_CHECK(tw.router->Mount("a", ChurnCellTenant(/*async=*/false)) == 0);
@@ -821,37 +698,40 @@ BatchCrashOutcome RunMountCrashState(uint64_t store_ordinal, crash::FatePolicy f
   return out;
 }
 
-// Cells 2 + 3 share a driver: queue publishes behind paused publishers on two
-// tenants, then cut power inside either Unmount("a") (which drains a's queue on
-// the calling thread first) or the cross-tenant DrainAllPublishes(). Every fsync
-// was acked at its intent fence, so recovery must restore all files of BOTH
-// tenants no matter whose relink the cut interrupted.
-BatchCrashOutcome RunChurnDrainCrashState(bool unmount, uint64_t store_ordinal,
-                                          crash::FatePolicy fate, uint64_t seed) {
-  BatchCrashOutcome out;
+// Cell 2: power cut inside Unmount("a")'s close-publish. Tenant "a" still holds a
+// descriptor on a file it fsync'd and then appended to; Unmount closes it on the
+// calling thread, which fences the append's intent and publishes it. Every fsync'd
+// file of both tenants must recover byte-exact wherever the cut lands; the unacked
+// append survives whole or not at all (POSIX appends are atomic).
+constexpr size_t kTenantAppendBytes = 12000;  // Head copy, extent swap, tail copy.
+
+ChurnCrashOutcome RunUnmountCrashState(uint64_t store_ordinal, crash::FatePolicy fate,
+                                       uint64_t seed) {
+  ChurnCrashOutcome out;
   TenantWorld tw = MakeTenantWorld();
   tw.w->dev->EnableCrashTracking(true);
   SPLITFS_CHECK(tw.router->Mount("a", ChurnCellTenant(/*async=*/true)) == 0);
   SPLITFS_CHECK(tw.router->Mount("b", ChurnCellTenant(/*async=*/true)) == 0);
-  tw.router->tenant_fs("a")->set_publisher_paused_for_test(true);
-  tw.router->tenant_fs("b")->set_publisher_paused_for_test(true);
-
   WriteTenantFile(tw.router, "/a/q0", 0);
-  WriteTenantFile(tw.router, "/a/q1", 1);
-  WriteTenantFile(tw.router, "/b/q0", 2);
-  WriteTenantFile(tw.router, "/b/q1", 3);
-  SPLITFS_CHECK(tw.router->tenant_fs("a")->PublishQueueDepth() == 2);
-  SPLITFS_CHECK(tw.router->tenant_fs("b")->PublishQueueDepth() == 2);
+  WriteTenantFile(tw.router, "/b/q0", 1);
+  int fd = tw.router->Open("/a/open", vfs::kRdWr | vfs::kCreate);
+  SPLITFS_CHECK(fd >= 0);
+  std::vector<uint8_t> data(kTenantBytes + kTenantAppendBytes);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = TenantPayload(2, i);
+  }
+  SPLITFS_CHECK(tw.router->Pwrite(fd, data.data(), kTenantBytes, 0) ==
+                static_cast<ssize_t>(kTenantBytes));
+  SPLITFS_CHECK(tw.router->Fsync(fd) == 0);
+  SPLITFS_CHECK(tw.router->Pwrite(fd, data.data() + kTenantBytes, kTenantAppendBytes,
+                                  kTenantBytes) ==
+                static_cast<ssize_t>(kTenantAppendBytes));
 
   crash::CrashInjector injector(
       {crash::CrashPoint::Trigger::kAfterStore, store_ordinal});
   tw.w->dev->SetObserver(&injector);
   try {
-    if (unmount) {
-      tw.router->Unmount("a");
-    } else {
-      tw.router->DrainAllPublishes();
-    }
+    tw.router->Unmount("a");
   } catch (const crash::CrashSignal&) {
     out.crashed = true;
   }
@@ -859,21 +739,31 @@ BatchCrashOutcome RunChurnDrainCrashState(bool unmount, uint64_t store_ordinal,
   if (!out.crashed) {
     return out;
   }
-  // An interrupted unmount leaves the tenant mounted — the drain runs before any
-  // teardown, so the cut cannot strand a half-dismantled instance.
+  // The cut lands before the tenant leaves the table: nothing is half-dismantled.
   EXPECT_TRUE(tw.router->IsMounted("a"));
   EXPECT_TRUE(tw.router->IsMounted("b"));
 
   tw.w->dev->CrashWith(crash::MakeFate(fate, seed | 1));
   SPLITFS_CHECK(tw.w->RecoverAll() == 0);
-  tw.router->tenant_fs("a")->set_publisher_paused_for_test(false);
-  tw.router->tenant_fs("b")->set_publisher_paused_for_test(false);
 
   uint64_t fp = 14695981039346656037ull;
+  auto mix = [&fp](uint64_t v) { fp = (fp ^ v) * 1099511628211ull; };
   CheckTenantFile(tw.router, "/a/q0", 0, &fp);
-  CheckTenantFile(tw.router, "/a/q1", 1, &fp);
-  CheckTenantFile(tw.router, "/b/q0", 2, &fp);
-  CheckTenantFile(tw.router, "/b/q1", 3, &fp);
+  CheckTenantFile(tw.router, "/b/q0", 1, &fp);
+  int rfd = tw.router->Open("/a/open", vfs::kRdOnly);
+  EXPECT_GE(rfd, 0) << "/a/open lost across the unmount crash";
+  if (rfd >= 0) {
+    vfs::StatBuf st;
+    EXPECT_EQ(tw.router->Fstat(rfd, &st), 0);
+    EXPECT_TRUE(st.size == kTenantBytes || st.size == data.size()) << st.size;
+    std::vector<uint8_t> back(std::min<uint64_t>(st.size, data.size()));
+    EXPECT_EQ(tw.router->Pread(rfd, back.data(), back.size(), 0),
+              static_cast<ssize_t>(back.size()));
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), data.begin()))
+        << "/a/open diverged at size " << st.size;
+    mix(st.size);
+    tw.router->Close(rfd);
+  }
   // Churn completes after recovery: the unmount finishes cleanly and the same
   // namespace remounts with its data still rooted under /a.
   EXPECT_EQ(tw.router->Unmount("a"), 0);
@@ -881,10 +771,9 @@ BatchCrashOutcome RunChurnDrainCrashState(bool unmount, uint64_t store_ordinal,
   CheckTenantFile(tw.router, "/a/q0", 0, &fp);
   ext4sim::FsckReport fsck = ext4sim::RunFsck(tw.w->kfs.get());
   for (const auto& p : fsck.problems) {
-    ADD_FAILURE() << (unmount ? "tenant unmount" : "tenant drain") << " @ store#"
-                  << store_ordinal << ": " << p;
+    ADD_FAILURE() << "tenant unmount @ store#" << store_ordinal << ": " << p;
   }
-  fp = (fp ^ (fsck.clean ? 1 : 0)) * 1099511628211ull;
+  mix(fsck.clean ? 1 : 0);
   out.fingerprint = fp;
   return out;
 }
@@ -893,7 +782,7 @@ TEST(CrashMatrixSmoke, TenantMountCrashLeavesRouterCleanAndRemountable) {
   int crashed_states = 0;
   for (uint64_t store : {0ull, 2ull, 5ull}) {
     for (crash::FatePolicy fate : {FatePolicy::kDropAll, FatePolicy::kTorn}) {
-      BatchCrashOutcome out = RunMountCrashState(store, fate, kSeed);
+      ChurnCrashOutcome out = RunMountCrashState(store, fate, kSeed);
       ASSERT_TRUE(out.crashed) << "store#" << store << " never reached in Mount";
       ++crashed_states;
     }
@@ -901,46 +790,30 @@ TEST(CrashMatrixSmoke, TenantMountCrashLeavesRouterCleanAndRemountable) {
   EXPECT_EQ(crashed_states, 6);
 }
 
-TEST(CrashMatrixSmoke, TenantUnmountCrashRecoversEveryAckedFile) {
+TEST(CrashMatrixSmoke, TenantUnmountCloseCrashRecoversEveryFsyncedFile) {
+  // Every store ordinal of the close-publish (eight), under both extreme fates.
   int crashed_states = 0;
-  for (uint64_t store : {0ull, 3ull, 8ull}) {
-    for (crash::FatePolicy fate : {FatePolicy::kDropAll, FatePolicy::kTorn}) {
-      BatchCrashOutcome out =
-          RunChurnDrainCrashState(/*unmount=*/true, store, fate, kSeed);
-      ASSERT_TRUE(out.crashed) << "store#" << store << " never reached in Unmount";
-      ++crashed_states;
+  for (uint64_t store = 0;; ++store) {
+    ChurnCrashOutcome out = RunUnmountCrashState(store, FatePolicy::kDropAll, kSeed);
+    if (!out.crashed) {
+      break;
     }
+    ASSERT_TRUE(RunUnmountCrashState(store, FatePolicy::kTorn, kSeed).crashed);
+    crashed_states += 2;
   }
-  EXPECT_EQ(crashed_states, 6);
-}
-
-TEST(CrashMatrixSmoke, TenantSharedPoolDrainCrashRecoversBothTenants) {
-  int crashed_states = 0;
-  for (uint64_t store : {0ull, 5ull, 13ull}) {
-    for (crash::FatePolicy fate : {FatePolicy::kDropAll, FatePolicy::kTorn}) {
-      BatchCrashOutcome out =
-          RunChurnDrainCrashState(/*unmount=*/false, store, fate, kSeed);
-      ASSERT_TRUE(out.crashed) << "store#" << store << " never reached in drain";
-      ++crashed_states;
-    }
-  }
-  EXPECT_EQ(crashed_states, 6);
+  EXPECT_EQ(crashed_states, 16);
 }
 
 TEST(CrashMatrixSmoke, TenantChurnCrashStatesAreDeterministic) {
   for (crash::FatePolicy fate : {FatePolicy::kSubset, FatePolicy::kTorn}) {
-    {
-      BatchCrashOutcome a = RunMountCrashState(4, fate, kSeed);
-      BatchCrashOutcome b = RunMountCrashState(4, fate, kSeed);
-      ASSERT_TRUE(a.crashed && b.crashed);
-      EXPECT_EQ(a.fingerprint, b.fingerprint);
-    }
-    for (bool unmount : {true, false}) {
-      BatchCrashOutcome a = RunChurnDrainCrashState(unmount, 3, fate, kSeed);
-      BatchCrashOutcome b = RunChurnDrainCrashState(unmount, 3, fate, kSeed);
-      ASSERT_TRUE(a.crashed && b.crashed);
-      EXPECT_EQ(a.fingerprint, b.fingerprint);
-    }
+    ChurnCrashOutcome a = RunMountCrashState(4, fate, kSeed);
+    ChurnCrashOutcome b = RunMountCrashState(4, fate, kSeed);
+    ASSERT_TRUE(a.crashed && b.crashed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+    a = RunUnmountCrashState(3, fate, kSeed);
+    b = RunUnmountCrashState(3, fate, kSeed);
+    ASSERT_TRUE(a.crashed && b.crashed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
   }
 }
 

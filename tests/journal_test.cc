@@ -9,7 +9,6 @@
 
 #include "src/common/bytes.h"
 #include "src/crash/crash_plan.h"
-#include "src/core/split_fs.h"
 #include "src/ext4/journal.h"
 #include "src/pmem/device.h"
 
@@ -276,51 +275,6 @@ TEST(JournalCoalescingTest, LogFullDuringWindowForcesImmediateSeal) {
   EXPECT_LT(windowed, 6u);
   EXPECT_GE(j.CheckpointStalls(), 1u);
   EXPECT_GT(j.FreeLogBytes(), 0u);
-}
-
-// --- Batched publication: one journal commit per publish pass -----------------------
-//
-// Queues kFiles publishes behind a paused publisher, then releases it and counts
-// journal commits while the backlog drains. A pass takes the whole queue as it
-// stands under one commit, so the deep backlog drains in (nearly) one commit
-// instead of one per file.
-TEST(PublishBatchTest, DeepQueueDrainsInOneCommitPerPass) {
-  sim::Context ctx;
-  pmem::Device dev(&ctx, 256 * common::kMiB);
-  ext4sim::Ext4Dax kfs(&dev);
-  splitfs::Options o;
-  o.mode = splitfs::Mode::kPosix;
-  o.num_staging_files = 2;
-  o.staging_file_bytes = 4 * common::kMiB;
-  o.oplog_bytes = 4 * common::kMiB;
-  o.async_relink = true;
-  o.publisher_thread = true;
-  splitfs::SplitFs fs(&kfs, o);
-  fs.set_publisher_paused_for_test(true);
-
-  constexpr int kFiles = 6;
-  const std::string rec(8 * 1024, 'b');
-  std::vector<int> fds;
-  for (int i = 0; i < kFiles; ++i) {
-    int fd = fs.Open("/f" + std::to_string(i), vfs::kCreate | vfs::kRdWr);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(fs.Pwrite(fd, rec.data(), rec.size(), 0),
-              static_cast<ssize_t>(rec.size()));
-    ASSERT_EQ(fs.Fsync(fd), 0);  // Acks at the intent fence, queues the publish.
-    fds.push_back(fd);
-  }
-  ASSERT_EQ(fs.PublishQueueDepth(), static_cast<size_t>(kFiles));
-
-  uint64_t before = kfs.JournalCommits();
-  fs.set_publisher_paused_for_test(false);
-  fs.WaitForPublishes();
-  uint64_t commits = kfs.JournalCommits() - before;
-  EXPECT_EQ(fs.Relinks(), static_cast<uint64_t>(kFiles));
-  // One commit per file would take kFiles; the pass amortizes the whole backlog.
-  EXPECT_LE(commits, 2u);
-  for (int fd : fds) {
-    EXPECT_EQ(fs.Close(fd), 0);
-  }
 }
 
 }  // namespace

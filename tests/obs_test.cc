@@ -255,7 +255,7 @@ TEST(Metrics, DeregisterGaugesByPrefix) {
   EXPECT_EQ(samples[0].name, "staging.spare");
 }
 
-// The DumpMetrics race, directed: dumps race a writer mutating the gauge's source.
+// The snapshot race, directed: dumps race a writer mutating the gauge's source.
 // Each snapshot must be one consistent cut — both gauges read the same atomic once,
 // and since "twice" is registered to return 2 * source read-once, the pair inside one
 // snapshot must satisfy twice == 2 * once (a re-read mid-dump would tear them).

@@ -111,7 +111,6 @@ TEST_F(OpLogTest, FullLogRejectsUntilReset) {
     ASSERT_TRUE(log_.Append(MakeEntry(i)));
   }
   EXPECT_FALSE(log_.Append(MakeEntry(9999)));
-  EXPECT_TRUE(log_.NearlyFull());
   log_.Reset();
   EXPECT_TRUE(log_.Append(MakeEntry(1)));
   // Reset zeroed the area: only the new entry is found.

@@ -105,6 +105,34 @@ TEST(SplitFsCrash, NoStagingAppendWithFsyncSurvives) {
   }
 }
 
+TEST(SplitFsCrash, NoRelinkAppendWithFsyncSurvives) {
+  // The Figure 3 "+staging" configuration publishes by copying staged bytes through
+  // K-Split, whose size update sits in the running transaction: fsync must commit
+  // it in every mode.
+  for (Mode m : {Mode::kPosix, Mode::kSync, Mode::kStrict}) {
+    SCOPED_TRACE(splitfs::ModeName(m));
+    splitfs::Options o = SmallOpts(m);
+    o.enable_relink = false;
+    CrashWorld w(o);
+    int fd = w.fs->Open("/f", vfs::kRdWr | vfs::kCreate);
+    ASSERT_EQ(w.fs->Fsync(fd), 0);  // The create is durable; the append is at stake.
+    auto data = Pattern(2 * kBlockSize + 777, 4);
+    ASSERT_EQ(w.fs->Pwrite(fd, data.data(), data.size(), 0),
+              static_cast<ssize_t>(data.size()));
+    ASSERT_EQ(w.fs->Fsync(fd), 0);
+    w.CrashAndRecover();
+    int fd2 = w.fs->Open("/f", vfs::kRdWr);
+    ASSERT_GE(fd2, 0);
+    vfs::StatBuf st;
+    ASSERT_EQ(w.fs->Fstat(fd2, &st), 0);
+    EXPECT_EQ(st.size, data.size());
+    std::vector<uint8_t> back(data.size());
+    ASSERT_EQ(w.fs->Pread(fd2, back.data(), back.size(), 0),
+              static_cast<ssize_t>(back.size()));
+    EXPECT_EQ(back, data);
+  }
+}
+
 TEST(SplitFsCrash, StrictAppendSurvivesWithoutFsyncViaLogReplay) {
   // Strict mode: the op-log entry + staged data are durable at the end of the write
   // call; recovery replays the relink even though fsync never ran.

@@ -4,7 +4,9 @@
 // Absolute numbers are trend artifacts: they move with the host and its load.
 //
 //   bench_host_micro                   # every row
-//   bench_host_micro --scaling-check   # update rows only; exit 1 if 4096-file > 4x 16-file
+//   bench_host_micro --scaling-check   # update and coalesce rows only; exit 1 if the
+//                                      # 4096-file update > 4x the 16-file one, or
+//                                      # coalescing 200K entries > 20x 20K entries
 //
 // Rows:
 //   Crc32c reference / dispatched at 60 B (one strict-mode op-log entry body) and
@@ -16,7 +18,11 @@
 //   unlink, on a file that is not otherwise cached, with 16 / 256 / 4096 other files
 //   cached. An update copies only its own shard's table, so the row stays flat as
 //   the cache grows. --scaling-check gates exactly that, as a ratio of two rows of
-//   one run, so host load cancels out.
+//   one run, so host load cancels out;
+//   CoalesceForReplay (op-log recovery's run merging) over 20K and 200K entries none
+//   of which extends another, the case where a search over earlier runs costs the
+//   most. Linear coalescing makes the 200K row 10x the 20K row, a quadratic one 100x;
+//   --scaling-check fails above 20x.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +34,7 @@
 #include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/core/mmap_cache.h"
+#include "src/core/oplog.h"
 
 namespace {
 
@@ -139,6 +146,33 @@ bench::HostTiming UpdateRow(uint64_t cached_files) {
   return t;
 }
 
+// `n` seq-ordered append entries over 4 staging files and 16 targets, each starting
+// a block past where the previous one ended, so none merges into an earlier run.
+bench::HostTiming CoalesceRow(uint64_t n) {
+  std::vector<splitfs::LogEntry> log(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    splitfs::LogEntry& e = log[i];
+    e.op = splitfs::LogOp::kAppend;
+    e.seq = i + 1;
+    e.staging_ino = 10 + i % 4;
+    e.target_ino = 100 + i % 16;
+    e.staging_off = i * 2 * common::kBlockSize;
+    e.file_off = i * 2 * common::kBlockSize;
+    e.len = common::kBlockSize;
+  }
+  std::vector<splitfs::LogEntry> runs;
+  bench::HostTiming t = bench::TimeHostLoop(1, [&](uint64_t) {
+    runs.assign(log.begin(), log.end());  // Reuses its capacity: no page faults.
+    splitfs::CoalesceForReplay(&runs);
+    return runs.size();
+  });
+  char label[64];
+  std::snprintf(label, sizeof(label), "CoalesceForReplay, %llu entries",
+                static_cast<unsigned long long>(n));
+  bench::PrintHostTiming(label, t);
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,10 +190,19 @@ int main(int argc, char** argv) {
   double large = UpdateRow(4096).median_ns;
   double ratio = large / small;
   std::printf("  update cost 4096 / 16 files cached: %.2fx (gate: <= 4x)\n", ratio);
+  double coalesce_small = CoalesceRow(20'000).median_ns;
+  double coalesce_ratio = CoalesceRow(200'000).median_ns / coalesce_small;
+  std::printf("  coalesce cost 200K / 20K entries: %.2fx (gate: <= 20x)\n", coalesce_ratio);
+  int rc = 0;
   if (scaling_check && ratio > 4.0) {
     std::fprintf(stderr, "FAIL scaling-check: an MmapCache update grows with the "
                          "number of files cached (%.2fx)\n", ratio);
-    return 1;
+    rc = 1;
   }
-  return 0;
+  if (scaling_check && coalesce_ratio > 20.0) {
+    std::fprintf(stderr, "FAIL scaling-check: op-log coalescing grows faster than the "
+                         "entries coalesced (%.2fx for 10x the entries)\n", coalesce_ratio);
+    rc = 1;
+  }
+  return rc;
 }

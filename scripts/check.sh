@@ -26,8 +26,10 @@
 # silently bit-rot against API changes. It finishes with the fsync-storm bench
 # smoke: bench_scalability --trace (commit-coalescing + trace-reconciliation
 # self-check), --schema-check (BENCH_scalability.json schema), and --repeat-check
-# (determinism gates: posix append + the shared-hot-file range-lock cells), and
-# bench_host_micro --scaling-check (MmapCache update cost flat in cached files).
+# (determinism gates: posix append + the shared-hot-file range-lock cells),
+# bench_host_micro --scaling-check (MmapCache update cost flat in cached files,
+# op-log coalescing linear in entries), and bench_recovery --shape-check (replay
+# time grows with the entries replayed).
 # Last, `bench_splitfs/run.py --check` self-tests the repository benchmark
 # against BENCHMARK.json.
 #
@@ -106,10 +108,15 @@ trap 'rm -f "$storm_trace"' EXIT
 # schema_version-2 shape (per-tenant latency percentiles, contention ledger,
 # qos_on/qos_off degradation factors).
 ./build/bench_multitenant --schema-check
-# Host-time scaling gate: an MmapCache update (relink + unlink of one file) must
+# Host-time scaling gates: an MmapCache update (relink + unlink of one file) must
 # not grow with the number of cached files — the 4096-file row stays within 4x
-# of the 16-file row. A ratio of two rows of one run, so host load cancels out.
+# of the 16-file row — and coalescing 10x the op-log entries at recovery must
+# cost at most 20x (linear is 10x, a search over earlier runs 100x). Ratios of
+# two rows of one run, so host load cancels out.
 ./build/bench_host_micro --scaling-check
+# Recovery shape (§5.3): simulated op-log replay time must strictly grow with the
+# entries replayed, and t(2M)/t(18K) must be >= 1.5 (paper: ~6 s / ~3 s = 2.0).
+./build/bench_recovery --shape-check
 # Repository benchmark self-test: builds bench_splitfs (into .bench_build/) and
 # checks that every workload and metric BENCHMARK.json names is produced.
 python3 bench_splitfs/run.py --check

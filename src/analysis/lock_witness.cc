@@ -1,5 +1,6 @@
 #include "src/analysis/lock_witness.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,9 +28,9 @@ bool EnvAnalysisOn() {
   return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
-std::mutex g_global_mu;
-LockWitness* g_override = nullptr;
-bool g_override_set = false;
+// Test override of the global witness; nullptr = none (env gating applies). Read on
+// every annotated lock acquisition and release, so it is an atomic, not a mutex.
+std::atomic<LockWitness*> g_override{nullptr};
 
 }  // namespace
 
@@ -55,11 +56,8 @@ std::string LockWitness::SiteName(int site) {
 int LockSite(const std::string& name) { return LockWitness::RegisterSite(name); }
 
 LockWitness* LockWitness::Global() {
-  {
-    std::lock_guard<std::mutex> lock(g_global_mu);
-    if (g_override_set) {
-      return g_override;
-    }
+  if (LockWitness* w = g_override.load(std::memory_order_acquire)) {
+    return w;
   }
   // Env gating decided once: tests that want a different mode install an
   // override before touching any annotated path.
@@ -69,9 +67,7 @@ LockWitness* LockWitness::Global() {
 }
 
 void LockWitness::SetGlobalForTest(LockWitness* w) {
-  std::lock_guard<std::mutex> lock(g_global_mu);
-  g_override = w;
-  g_override_set = (w != nullptr);
+  g_override.store(w, std::memory_order_release);
 }
 
 void LockWitness::Acquire(int site, uint64_t order_key, Kind kind) {

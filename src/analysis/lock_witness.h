@@ -51,7 +51,8 @@ class LockWitness {
   explicit LockWitness(Mode mode = Mode::kCollect) : mode_(mode) {}
 
   // Process-global witness, or nullptr when analysis mode is off. Enabled by
-  // SPLITFS_ANALYSIS=1 in the environment (kHalt) or EnableGlobalForTest.
+  // SPLITFS_ANALYSIS=1 in the environment (kHalt) or SetGlobalForTest. Lock-free:
+  // every annotated lock acquisition and release calls it.
   static LockWitness* Global();
   // Test hook: installs `w` as the global witness (nullptr restores env gating).
   static void SetGlobalForTest(LockWitness* w);

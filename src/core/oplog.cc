@@ -1,7 +1,9 @@
 #include "src/core/oplog.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <unordered_map>
 
 #include "src/analysis/annotations.h"
 #include "src/analysis/persist_checker.h"
@@ -136,23 +138,31 @@ bool OpLog::ResetIfQuiesced(const std::function<bool()>& quiesced) {
 }
 
 std::vector<LogEntry> OpLog::ScanForRecovery() const {
+  static_assert(kScanWindowBytes % kCacheLineSize == 0, "windows hold whole slots");
+  static const LogEntry kZero{};
   std::vector<LogEntry> out;
+  std::vector<LogEntry> window(kScanWindowBytes / kCacheLineSize);
   pmem::Device* dev = kfs_->device();
-  for (uint64_t slot = 0; slot < capacity_; ++slot) {
-    LogEntry e;
-    // Recovery-time reads are sequential scans of the log area.
-    dev->Load(SlotDevOffset(slot), &e, kCacheLineSize, /*sequential=*/true,
-              sim::PmReadKind::kLog);
-    // Zero slot: end of the dense region may still be followed by valid entries after
-    // a wrap/reset race, so scan everything (capacity is bounded).
-    static const LogEntry kZero{};
-    if (std::memcmp(&e, &kZero, kCacheLineSize) == 0) {
-      continue;
+  // The mappings tile the log in file order, so slots are visited 0, 1, 2, ... and
+  // each window is one sequential read.
+  for (const auto& m : mappings_) {
+    for (uint64_t off = 0; off < m.len; off += kScanWindowBytes) {
+      uint64_t n = std::min(kScanWindowBytes, m.len - off);
+      dev->Load(m.dev_off + off, window.data(), n, /*sequential=*/true,
+                sim::PmReadKind::kLog);
+      for (uint64_t i = 0; i < n / kCacheLineSize; ++i) {
+        const LogEntry& e = window[i];
+        // Zero slot: end of the dense region may still be followed by valid entries
+        // after a wrap/reset race, so scan everything (capacity is bounded).
+        if (std::memcmp(&e, &kZero, kCacheLineSize) == 0) {
+          continue;
+        }
+        if (e.ValidSealed()) {
+          out.push_back(e);
+        }
+        // Nonzero but checksum-invalid: torn entry, discarded (§3.3).
+      }
     }
-    if (e.ValidSealed()) {
-      out.push_back(e);
-    }
-    // Nonzero but checksum-invalid: torn entry, discarded (§3.3).
   }
   // Stable sort: if corruption ever produces two checksum-valid entries with equal
   // seq, the one in the earlier log slot deterministically wins on every platform.
@@ -164,6 +174,165 @@ std::vector<LogEntry> OpLog::ScanForRecovery() const {
                         [](const LogEntry& a, const LogEntry& b) { return a.seq == b.seq; }),
             out.end());
   return out;
+}
+
+namespace {
+
+// Where a staged run ends in its staging file and its target file, or where an
+// entry starts: an entry extends a run exactly when the two are equal.
+struct RunEdge {
+  uint64_t staging_ino;
+  uint64_t target_ino;
+  uint64_t staging_off;
+  uint64_t file_off;
+  LogOp op;
+
+  bool operator==(const RunEdge& o) const {
+    return staging_ino == o.staging_ino && target_ino == o.target_ino &&
+           staging_off == o.staging_off && file_off == o.file_off && op == o.op;
+  }
+};
+
+RunEdge StartOf(const LogEntry& e) {
+  return {e.staging_ino, e.target_ino, e.staging_off, e.file_off, e.op};
+}
+
+RunEdge EndOf(const LogEntry& run) {
+  return {run.staging_ino, run.target_ino, run.staging_off + run.len,
+          run.file_off + run.len, run.op};
+}
+
+// The runs being built, indexed by the edge each ends at: an open-addressing table
+// (linear probing, at most half full) with one slot per run. A slot packs a 32-bit
+// hash of the edge, which also picks its home slot, above the run index + 1
+// (0 = empty), so probing and growing read only the table; a run is read only to
+// confirm a hash match.
+class RunEnds {
+ public:
+  static constexpr size_t kNone = SIZE_MAX;
+
+  explicit RunEnds(const std::vector<LogEntry>* runs) : runs_(*runs), slots_(1024) {}
+
+  // Unindexes and returns the newest run (highest index) ending at `edge`, or
+  // kNone. Runs ending at one edge all sit between its home slot and the next
+  // empty slot.
+  size_t TakeNewest(const RunEdge& edge) {
+    const uint64_t tag = Tag(edge);
+    const size_t mask = slots_.size() - 1;
+    size_t newest = kNone;
+    for (size_t i = tag & mask; slots_[i] != 0; i = (i + 1) & mask) {
+      if ((slots_[i] >> 32) == tag && EndOf(runs_[RunOf(slots_[i])]) == edge &&
+          (newest == kNone || slots_[i] > slots_[newest])) {
+        newest = i;  // Same tag: the larger slot holds the larger run index.
+      }
+    }
+    if (newest == kNone) {
+      return kNone;
+    }
+    const size_t run = RunOf(slots_[newest]);
+    Erase(newest);
+    return run;
+  }
+
+  // Indexes `run` (new, or just taken and extended) under the edge it now ends at.
+  void Add(size_t run) {
+    Place((Tag(EndOf(runs_[run])) << 32) | (run + 1));
+    if (++used_ * 2 > slots_.size()) {
+      std::vector<uint64_t> old(slots_.size() * 2);
+      old.swap(slots_);
+      for (uint64_t s : old) {
+        if (s != 0) {
+          Place(s);
+        }
+      }
+    }
+  }
+
+ private:
+  static uint64_t Tag(const RunEdge& k) {
+    uint64_t h = static_cast<uint64_t>(k.op);
+    for (uint64_t v : {k.staging_ino, k.target_ino, k.staging_off, k.file_off}) {
+      h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+      h ^= h >> 29;
+    }
+    return h >> 32;
+  }
+  static size_t RunOf(uint64_t slot) { return (slot & 0xFFFFFFFFu) - 1; }
+  size_t Home(uint64_t slot) const { return (slot >> 32) & (slots_.size() - 1); }
+
+  void Place(uint64_t slot) {
+    size_t i = Home(slot);
+    while (slots_[i] != 0) {
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i] = slot;
+  }
+
+  // Backward-shift deletion: each later slot of the cluster whose home is not
+  // between the hole and itself moves into the hole, so no probe crosses a gap.
+  void Erase(size_t hole) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = (hole + 1) & mask; slots_[i] != 0; i = (i + 1) & mask) {
+      if (((i - Home(slots_[i])) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole] = 0;
+    --used_;
+  }
+
+  const std::vector<LogEntry>& runs_;
+  std::vector<uint64_t> slots_;  // Power-of-two size.
+  size_t used_ = 0;
+};
+
+}  // namespace
+
+void CoalesceForReplay(std::vector<LogEntry>* entries) {
+  std::vector<LogEntry>& v = *entries;
+  SPLITFS_CHECK(v.size() < UINT32_MAX);  // Run indices fit a table slot.
+  // Per target inode, the seq of its last truncate or done record; data entries
+  // older than that are dropped.
+  //  * Truncates are logged after publishing, so every data entry that precedes one
+  //    is already committed (or legitimately gone). Its core relink would skip on
+  //    holes, but the partial-block head copy would not — replaying it would
+  //    resurrect bytes the truncate removed.
+  //  * kRelinkDone seals a publish: every data entry of that inode with a smaller seq
+  //    was relinked and journal-committed before the crash. Skipping them is what
+  //    keeps a stale intent from resurrecting bytes a later unlogged in-place
+  //    overwrite (POSIX/sync) replaced.
+  std::unordered_map<vfs::Ino, uint64_t> settled_seq;
+  for (const LogEntry& e : v) {
+    if (e.op == LogOp::kTruncate || e.op == LogOp::kRelinkDone) {
+      uint64_t& seq = settled_seq[e.target_ino];
+      seq = std::max(seq, e.seq);
+    }
+  }
+  // Runs are compacted into v[0, runs): each kept entry extends the newest run
+  // ending where it starts, or opens a new run.
+  RunEnds ends(&v);
+  size_t runs = 0;
+  for (size_t r = 0; r < v.size(); ++r) {
+    const LogEntry e = v[r];
+    if (e.op != LogOp::kAppend && e.op != LogOp::kOverwrite &&
+        e.op != LogOp::kRelinkIntent && e.op != LogOp::kRelinkIntentOverwrite) {
+      continue;  // Metadata ops were made durable by the kernel journal.
+    }
+    auto settled = settled_seq.find(e.target_ino);
+    if (settled != settled_seq.end() && settled->second > e.seq) {
+      continue;
+    }
+    size_t run = ends.TakeNewest(StartOf(e));
+    if (run == RunEnds::kNone) {
+      run = runs++;
+      v[run] = e;
+    } else {
+      v[run].len += e.len;
+    }
+    ends.Add(run);
+  }
+  v.resize(runs);
 }
 
 }  // namespace splitfs

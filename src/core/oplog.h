@@ -125,8 +125,12 @@ class OpLog {
   vfs::Ino ino() const { return ino_; }
 
   // Recovery: scans the whole log area for checksum-valid entries, sorted by seq.
-  // Works purely from the device contents — DRAM state is assumed lost.
+  // Works purely from the device contents — DRAM state is assumed lost. The scan is
+  // one sequential pass: each mapping of the log file is read in file order, one
+  // Device::Load of at most kScanWindowBytes per window, so it pays the first-line
+  // latency once per window rather than once per slot.
   std::vector<LogEntry> ScanForRecovery() const;
+  static constexpr uint64_t kScanWindowBytes = 64 * 1024;
 
   // Test-only mutation hook (analysis self-tests): drop THE single fence after
   // the entry store, so the PersistChecker's rule-(a) check on the entry fires.
@@ -162,6 +166,17 @@ class OpLog {
   std::atomic<uint64_t> reset_epoch_{0};
   bool skip_fence_for_test_ = false;
 };
+
+// Recovery: turns ScanForRecovery's seq-sorted entries, in place, into the staged
+// runs to replay. Keeps only data entries (append, overwrite, relink intents) that
+// are newer than their target's last truncate and last done record, then merges
+// each one into the latest earlier run of the same staging file, target and op
+// that ends where the entry starts (in staging file and target file alike).
+// Consecutive appends that extended one staged run were logged one entry per
+// operation but share staging blocks; replaying them separately would let an
+// earlier entry's whole-block relink turn a later entry's staging range into a
+// hole. Runs keep the order of their first entry. Expected O(entries).
+void CoalesceForReplay(std::vector<LogEntry>* entries);
 
 }  // namespace splitfs
 

@@ -1765,59 +1765,11 @@ int SplitFs::Recover() {
   // Replay every valid log entry on top of ext4 recovery: strict-mode data ops and
   // async-relink intents alike. Replay is idempotent — a relink whose source range
   // is already a hole is skipped.
-  //
-  // Consecutive appends that extended one staged run produced one entry per
-  // operation but share staging blocks; coalesce them back into runs first, or an
-  // earlier entry's whole-block relink would turn a later entry's staging range
-  // into a hole mid-replay.
-  std::vector<LogEntry> entries = oplog_->ScanForRecovery();
-  // Truncates are logged after publishing, so every data entry that precedes one is
-  // already committed (or legitimately gone). Its core relink would skip on holes,
-  // but the partial-block head copy would not — replaying it would resurrect bytes
-  // the truncate removed. Drop data entries older than the file's last truncate.
-  std::unordered_map<Ino, uint64_t> last_truncate_seq;
-  // kRelinkDone seals a publish: every data entry of that inode with a smaller seq
-  // was relinked and journal-committed before the crash. Skipping them is what keeps
-  // a stale intent from resurrecting bytes a later unlogged in-place overwrite
-  // (POSIX/sync) replaced.
-  std::unordered_map<Ino, uint64_t> last_done_seq;
-  for (const LogEntry& e : entries) {
-    if (e.op == LogOp::kTruncate) {
-      uint64_t& seq = last_truncate_seq[e.target_ino];
-      seq = std::max(seq, e.seq);
-    } else if (e.op == LogOp::kRelinkDone) {
-      uint64_t& seq = last_done_seq[e.target_ino];
-      seq = std::max(seq, e.seq);
-    }
-  }
-  std::vector<LogEntry> runs;
-  for (const LogEntry& e : entries) {
-    if (e.op != LogOp::kAppend && e.op != LogOp::kOverwrite &&
-        e.op != LogOp::kRelinkIntent && e.op != LogOp::kRelinkIntentOverwrite) {
-      continue;  // Metadata ops were made durable by the kernel journal.
-    }
-    auto trunc = last_truncate_seq.find(e.target_ino);
-    if (trunc != last_truncate_seq.end() && trunc->second > e.seq) {
-      continue;
-    }
-    auto done = last_done_seq.find(e.target_ino);
-    if (done != last_done_seq.end() && done->second > e.seq) {
-      continue;
-    }
-    bool merged = false;
-    for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-      if (it->staging_ino == e.staging_ino && it->target_ino == e.target_ino &&
-          it->op == e.op && it->staging_off + it->len == e.staging_off &&
-          it->file_off + it->len == e.file_off) {
-        it->len += e.len;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      runs.push_back(e);
-    }
-  }
+  std::vector<LogEntry> runs = oplog_->ScanForRecovery();
+  // Per returned entry: its checksum check, its place in the seq sort and its
+  // coalescing, one unit of DRAM bookkeeping each.
+  ctx_->ChargeCpu(ctx_->model.user_work_ns * runs.size());
+  CoalesceForReplay(&runs);
   // Replay opens files by ino (log entries carry no paths) and re-issues the relink
   // ioctl, which applies the same ascending-ino two-inode lock order as the live
   // path. OpenByIno also pins the inode: a deferred reclamation racing the replay

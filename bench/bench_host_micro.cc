@@ -22,7 +22,10 @@
 //   CoalesceForReplay (op-log recovery's run merging) over 20K and 200K entries none
 //   of which extends another, the case where a search over earlier runs costs the
 //   most. Linear coalescing makes the 200K row 10x the 20K row, a quadratic one 100x;
-//   --scaling-check fails above 20x.
+//   --scaling-check fails above 20x;
+//   OpLog::Append at 1 and 4 threads, each thread pinned to its own lane, into a log
+//   that never fills (per thread: mean of the threads' medians and quartiles). The
+//   lane mutex is held across the entry's store and fence, so this prices that too.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -33,6 +36,7 @@
 #include "bench/bench_util.h"
 #include "src/common/checksum.h"
 #include "src/common/random.h"
+#include "src/common/threading.h"
 #include "src/core/mmap_cache.h"
 #include "src/core/oplog.h"
 
@@ -59,6 +63,17 @@ void CrcRows() {
                              return common::Crc32c(buf.data(), n, static_cast<uint32_t>(i));
                            }));
   }
+}
+
+// Per thread of a multi-threaded row: the mean of the threads' medians and quartiles.
+bench::HostTiming MeanTiming(const std::vector<bench::HostTiming>& timings) {
+  bench::HostTiming mean;
+  for (const auto& t : timings) {
+    mean.median_ns += t.median_ns / timings.size();
+    mean.q1_ns += t.q1_ns / timings.size();
+    mean.q3_ns += t.q3_ns / timings.size();
+  }
+  return mean;
 }
 
 // An MmapCache holding inos 1..files, each with `pieces` pieces on non-contiguous
@@ -124,13 +139,37 @@ void TranslateRow(const char* label, int readers, bool churn) {
   if (churner.joinable()) {
     churner.join();
   }
-  bench::HostTiming mean;
-  for (const auto& t : timings) {
-    mean.median_ns += t.median_ns / readers;
-    mean.q1_ns += t.q1_ns / readers;
-    mean.q3_ns += t.q3_ns / readers;
+  bench::PrintHostTiming(label, MeanTiming(timings));
+}
+
+void AppendRow(const char* label, int threads) {
+  constexpr uint64_t kIters = 20'000;  // Per segment: 6 segments with the warm-up.
+  sim::Context ctx;
+  pmem::Device dev(&ctx, 64 * common::kMiB);
+  ext4sim::Ext4Dax kfs(&dev);
+  splitfs::OpLog log(&kfs, "/oplog", 32 * common::kMiB);  // 524,286 entry slots.
+  std::vector<bench::HostTiming> timings(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      common::ScopedThreadLane lane(t);
+      splitfs::LogEntry e;
+      e.op = splitfs::LogOp::kAppend;
+      e.target_ino = 100 + t;
+      e.staging_ino = 7;
+      e.len = 64;
+      timings[t] = bench::TimeHostLoop(kIters, [&](uint64_t i) {
+        e.file_off = i * 64;
+        e.staging_off = i * 64;
+        return log.Append(e);
+      });
+    });
   }
-  bench::PrintHostTiming(label, mean);
+  for (auto& th : workers) {
+    th.join();
+  }
+  SPLITFS_CHECK(log.EntriesLogged() == threads * (bench::HostTiming::kSegments + 1) * kIters);
+  bench::PrintHostTiming(label, MeanTiming(timings));
 }
 
 bench::HostTiming UpdateRow(uint64_t cached_files) {
@@ -184,6 +223,8 @@ int main(int argc, char** argv) {
     TranslateRow("MmapCache::Translate, 1 thread", 1, false);
     TranslateRow("MmapCache::Translate, 4 threads", 4, false);
     TranslateRow("MmapCache::Translate, 4 thr + churner", 4, true);
+    AppendRow("OpLog::Append, 1 thread", 1);
+    AppendRow("OpLog::Append, 4 threads", 4);
   }
   double small = UpdateRow(16).median_ns;
   UpdateRow(256);

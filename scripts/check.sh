@@ -29,7 +29,8 @@
 # (determinism gates: posix append + the shared-hot-file range-lock cells),
 # bench_host_micro --scaling-check (MmapCache update cost flat in cached files,
 # op-log coalescing linear in entries), and bench_recovery --shape-check (replay
-# time grows with the entries replayed).
+# time grows with the entries replayed, and a small log's scan reads only its
+# live end).
 # Last, `bench_splitfs/run.py --check` self-tests the repository benchmark
 # against BENCHMARK.json.
 #
@@ -115,7 +116,8 @@ trap 'rm -f "$storm_trace"' EXIT
 # two rows of one run, so host load cancels out.
 ./build/bench_host_micro --scaling-check
 # Recovery shape (§5.3): simulated op-log replay time must strictly grow with the
-# entries replayed, and t(2M)/t(18K) must be >= 1.5 (paper: ~6 s / ~3 s = 2.0).
+# entries replayed, and t(2M)/t(18K) must be >= 1.5 (paper: ~6 s / ~3 s = 2.0);
+# the 1K-entry replay must read at most two scan windows plus the header slots.
 ./build/bench_recovery --shape-check
 # Repository benchmark self-test: builds bench_splitfs (into .bench_build/) and
 # checks that every workload and metric BENCHMARK.json names is produced.

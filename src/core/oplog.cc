@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <unordered_map>
 
 #include "src/analysis/annotations.h"
@@ -20,6 +19,10 @@ void LogEntry::Seal() {
   checksum = common::Crc32c(reinterpret_cast<const uint8_t*>(this) + 4, 60);
 }
 
+bool LogEntry::ChecksumMatches() const {
+  return checksum == common::Crc32c(reinterpret_cast<const uint8_t*>(this) + 4, 60);
+}
+
 bool LogEntry::ValidSealed() const {
   // Structural validation first: recovery must never act on a slot whose fields it
   // cannot trust, even if the checksum happens to collide. The checksum is the
@@ -27,11 +30,18 @@ bool LogEntry::ValidSealed() const {
   if (seq == 0 || op == LogOp::kInvalid || op > kMaxLogOp) {
     return false;
   }
-  return checksum == common::Crc32c(reinterpret_cast<const uint8_t*>(this) + 4, 60);
+  return ChecksumMatches();
+}
+
+bool LogEntry::ValidHeader() const {
+  return seq != 0 && op == LogOp::kLogHeader && ChecksumMatches();
 }
 
 OpLog::OpLog(ext4sim::Ext4Dax* kfs, const std::string& path, uint64_t bytes)
-    : kfs_(kfs), ctx_(kfs->context()), capacity_(bytes / kCacheLineSize) {
+    : kfs_(kfs), ctx_(kfs->context()), capacity_(bytes / kCacheLineSize - 2) {
+  // Whole blocks: the two header slots then share the last one, so the scan reads
+  // both with one load.
+  SPLITFS_CHECK(bytes >= common::kBlockSize && bytes % common::kBlockSize == 0);
   fd_ = kfs_->Open(path, vfs::kRdWr | vfs::kCreate | vfs::kTrunc);
   SPLITFS_CHECK(fd_ >= 0);
   SPLITFS_CHECK_OK(kfs_->Fallocate(fd_, 0, bytes, /*keep_size=*/false));
@@ -82,20 +92,18 @@ bool OpLog::Append(LogEntry entry) {
   ctx_->ChargeCpu(ctx_->model.user_work_ns + ctx_->model.cas_ns);
   std::shared_lock<std::shared_mutex> no_reset(reset_mu_);
   Lane& lane = lanes_[common::ThreadLaneIndex(kLanes)];
-  uint64_t slot;
-  {
-    std::lock_guard<std::mutex> lm(lane.mu);
-    if (lane.next == lane.end) {
-      uint64_t start = tail_.fetch_add(kLaneChunkSlots, std::memory_order_relaxed);
-      if (start >= capacity_) {
-        tail_.fetch_sub(kLaneChunkSlots, std::memory_order_relaxed);
-        return false;  // Full: the caller checkpoints and retries.
-      }
-      lane.next = start;
-      lane.end = std::min(start + kLaneChunkSlots, capacity_);
+  // Held until the entry is durable: the lane invariant the recovery scan relies on.
+  std::lock_guard<std::mutex> lm(lane.mu);
+  if (lane.next == lane.end) {
+    uint64_t start = tail_.fetch_add(kLaneChunkSlots, std::memory_order_relaxed);
+    if (start >= capacity_) {
+      tail_.fetch_sub(kLaneChunkSlots, std::memory_order_relaxed);
+      return false;  // Full: the caller checkpoints and retries.
     }
-    slot = lane.next++;
+    lane.next = start;
+    lane.end = std::min(start + kLaneChunkSlots, capacity_);
   }
+  const uint64_t slot = lane.next++;
   entry.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   entry.Seal();
   pmem::Device* dev = kfs_->device();
@@ -126,7 +134,7 @@ bool OpLog::ResetIfQuiesced(const std::function<bool()>& quiesced) {
   if (quiesced && !quiesced()) {
     return false;
   }
-  ZeroLogArea();
+  WriteHeader();
   for (Lane& lane : lanes_) {
     std::lock_guard<std::mutex> lm(lane.mu);
     lane.next = 0;
@@ -137,30 +145,57 @@ bool OpLog::ResetIfQuiesced(const std::function<bool()>& quiesced) {
   return true;
 }
 
-std::vector<LogEntry> OpLog::ScanForRecovery() const {
+void OpLog::WriteHeader() {
+  LogEntry header;
+  header.op = LogOp::kLogHeader;
+  // The new epoch's first seq: every entry appended so far is at or below the floor.
+  header.seq = seq_.load(std::memory_order_relaxed) + 1;
+  header.Seal();
+  pmem::Device* dev = kfs_->device();
+  const uint64_t off = SlotDevOffset(capacity_ + next_header_);
+  dev->StoreNt(off, &header, kCacheLineSize, sim::PmWriteKind::kLog);
+  dev->Fence();
+  analysis::RequireDurable(dev, off, kCacheLineSize, "oplog.header");
+  next_header_ ^= 1;
+}
+
+std::vector<LogEntry> OpLog::ScanForRecovery() {
   static_assert(kScanWindowBytes % kCacheLineSize == 0, "windows hold whole slots");
-  static const LogEntry kZero{};
+  std::lock_guard<std::shared_mutex> exclusive(reset_mu_);
+  pmem::Device* dev = kfs_->device();
+  std::array<LogEntry, 2> headers;
+  dev->Load(SlotDevOffset(capacity_), headers.data(), sizeof(headers),
+            /*sequential=*/false, sim::PmReadKind::kLog);
+  int newest = -1;  // The valid header with the larger seq; the other slot is next.
+  for (int i = 0; i < 2; ++i) {
+    if (headers[i].ValidHeader() && (newest < 0 || headers[i].seq > headers[newest].seq)) {
+      newest = i;
+    }
+  }
+  const uint64_t floor = newest < 0 ? 0 : headers[newest].seq - 1;
+  next_header_ = newest == 0 ? 1 : 0;
+
   std::vector<LogEntry> out;
   std::vector<LogEntry> window(kScanWindowBytes / kCacheLineSize);
-  pmem::Device* dev = kfs_->device();
+  const uint64_t entry_bytes = capacity_ * kCacheLineSize;
+  uint64_t dead = 0;  // Dead slots in a row.
   // The mappings tile the log in file order, so slots are visited 0, 1, 2, ... and
   // each window is one sequential read.
   for (const auto& m : mappings_) {
-    for (uint64_t off = 0; off < m.len; off += kScanWindowBytes) {
-      uint64_t n = std::min(kScanWindowBytes, m.len - off);
+    for (uint64_t off = 0; off < m.len && m.file_off + off < entry_bytes &&
+                           dead <= kMaxDeadRun;
+         off += kScanWindowBytes) {
+      uint64_t n = std::min({kScanWindowBytes, m.len - off, entry_bytes - m.file_off - off});
       dev->Load(m.dev_off + off, window.data(), n, /*sequential=*/true,
                 sim::PmReadKind::kLog);
-      for (uint64_t i = 0; i < n / kCacheLineSize; ++i) {
-        const LogEntry& e = window[i];
-        // Zero slot: end of the dense region may still be followed by valid entries
-        // after a wrap/reset race, so scan everything (capacity is bounded).
-        if (std::memcmp(&e, &kZero, kCacheLineSize) == 0) {
-          continue;
+      for (uint64_t i = 0; i < n / kCacheLineSize && dead <= kMaxDeadRun; ++i) {
+        // Dead: zero, torn (§3.3), structurally invalid, or from a closed epoch.
+        if (window[i].ValidSealed() && window[i].seq > floor) {
+          out.push_back(window[i]);
+          dead = 0;
+        } else {
+          ++dead;
         }
-        if (e.ValidSealed()) {
-          out.push_back(e);
-        }
-        // Nonzero but checksum-invalid: torn entry, discarded (§3.3).
       }
     }
   }

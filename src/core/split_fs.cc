@@ -1532,9 +1532,13 @@ bool SplitFs::LogDataOp(LogOp op, FileState* held, uint64_t file_off,
   e.staging_off = a.staging_off;
   e.len = a.len;
   if (range == nullptr) {
-    // Whole-file holder: the checkpoint publishes `held` directly and the entry is
-    // simply retried into the fresh log.
-    while (!oplog_->Append(e)) {
+    // Whole-file holder: on a full log the checkpoint publishes `held` itself, this
+    // run included, so the run is durable without its entry and is not re-logged
+    // (the rule of the per-range path below). A fresh entry would outlive the
+    // publish, and its replay would copy the run's partial blocks from staging
+    // blocks the publish relinked away: zeros over acknowledged bytes.
+    if (!oplog_->Append(e)) {
+      analysis::AbandonCover(kfs_->device());  // Entry never stored.
       CheckpointForFull(held);
     }
     return true;
@@ -1649,7 +1653,8 @@ void SplitFs::LogMetaOp(LogOp op, Ino target, uint64_t aux, FileState* held) {
 }
 
 void SplitFs::CheckpointForFull(FileState* held) {
-  // Log full (§3.3): relink every file with staged data, then zero and reuse the log.
+  // Log full (§3.3): relink every file with staged data, then reuse the log. The reset
+  // writes one header whose floor retires every entry so far; nothing is re-zeroed.
   //
   // Concurrent protocol: publish the file we hold first (its entries are then dead
   // and it leaves the dirty set), take the single-flight checkpoint mutex, and sweep
@@ -1696,7 +1701,7 @@ void SplitFs::CheckpointForFull(FileState* held) {
       }
       // The reset must re-verify quiescence under the op log's exclusive lock: an
       // append satisfied from leftover lane slots can slip in between our sweep and
-      // the lock acquisition, and zeroing its entry would lose the only record of
+      // the lock acquisition, and retiring its entry would lose the only record of
       // unpublished staged data.
       if (dirty_files_.load(std::memory_order_acquire) == 0 &&
           oplog_->ResetIfQuiesced(
@@ -1762,7 +1767,7 @@ int SplitFs::Recover() {
     return 0;
   }
 
-  // Replay every valid log entry on top of ext4 recovery: strict-mode data ops and
+  // Replay every live log entry on top of ext4 recovery: strict-mode data ops and
   // async-relink intents alike. Replay is idempotent — a relink whose source range
   // is already a hole is skipped.
   std::vector<LogEntry> runs = oplog_->ScanForRecovery();
@@ -1774,18 +1779,31 @@ int SplitFs::Recover() {
   // ioctl, which applies the same ascending-ino two-inode lock order as the live
   // path. OpenByIno also pins the inode: a deferred reclamation racing the replay
   // (a logged target displaced by a committed rename) backs off while we hold the
-  // descriptor instead of freeing the file under us.
+  // descriptor instead of freeing the file under us. A descriptor stays open while
+  // consecutive runs name the same inode; a failed open is kept too, since replay
+  // creates no inodes.
+  struct ReplayFd {
+    vfs::Ino ino = vfs::kInvalidIno;
+    int fd = -1;
+  };
+  ReplayFd src, dst;
+  auto open_ino = [this](ReplayFd* f, vfs::Ino ino) {
+    if (f->ino != ino) {
+      if (f->fd >= 0) {
+        kfs_->Close(f->fd);
+      }
+      f->ino = ino;
+      f->fd = kfs_->OpenByIno(ino, vfs::kRdWr);
+    }
+    return f->fd;
+  };
+  int err = 0;
   for (const LogEntry& e : runs) {
-    int src_fd = kfs_->OpenByIno(e.staging_ino, vfs::kRdWr);
-    int dst_fd = kfs_->OpenByIno(e.target_ino, vfs::kRdWr);
-    if (src_fd < 0 || dst_fd < 0) {
-      if (src_fd >= 0) {
-        kfs_->Close(src_fd);
-      }
-      if (dst_fd >= 0) {
-        kfs_->Close(dst_fd);
-      }
-      continue;  // Target unlinked after logging; nothing to do.
+    // A staging file retired or a target unlinked after logging: nothing to do. The
+    // staging side is checked first, so a run it rules out opens no target.
+    const int src_fd = open_ino(&src, e.staging_ino);
+    if (src_fd < 0) {
+      continue;
     }
     // The checksum authenticated the 64 bytes of the entry, not the world it points
     // at: never trust the recorded offsets/length beyond the staging file's actual
@@ -1795,8 +1813,10 @@ int SplitFs::Recover() {
     vfs::StatBuf src_st;
     if (e.len == 0 || kfs_->Fstat(src_fd, &src_st) != 0 || e.len > src_st.size ||
         e.staging_off > src_st.size - e.len || e.file_off + e.len < e.file_off) {
-      kfs_->Close(src_fd);
-      kfs_->Close(dst_fd);
+      continue;
+    }
+    const int dst_fd = open_ino(&dst, e.target_ino);
+    if (dst_fd < 0) {
       continue;
     }
     const uint64_t end = e.file_off + e.len;
@@ -1807,26 +1827,43 @@ int SplitFs::Recover() {
       return kfs_->Fstat(dst_fd, &dst_st) == 0 ? dst_st.size : 0;
     });
     // Partial blocks are copied from the staging file through the kernel.
-    auto copy = [&](uint64_t from, uint64_t to) {
+    auto copy = [&](uint64_t from, uint64_t to) -> int {
       if (from == to) {
-        return;
+        return 0;
       }
       std::vector<uint8_t> buf(to - from);
-      uint64_t src_off = e.staging_off + (from - e.file_off);
-      if (kfs_->Pread(src_fd, buf.data(), buf.size(), src_off) ==
-          static_cast<ssize_t>(buf.size())) {
-        kfs_->Pwrite(dst_fd, buf.data(), buf.size(), from);
+      const auto want = static_cast<ssize_t>(buf.size());
+      ssize_t n = kfs_->Pread(src_fd, buf.data(), buf.size(),
+                              e.staging_off + (from - e.file_off));
+      if (n == want) {
+        n = kfs_->Pwrite(dst_fd, buf.data(), buf.size(), from);
       }
+      return n == want ? 0 : n < 0 ? static_cast<int>(n) : -EIO;
     };
-    copy(e.file_off, lay.head_end);
-    if (lay.core_len > 0) {
-      int rc = kfs_->SwapExtentsForRelink(src_fd, lay.core_src, dst_fd, lay.head_end,
-                                          lay.core_len, /*new_dst_size=*/end);
-      (void)rc;  // -EINVAL == already relinked before the crash: idempotent skip.
+    err = copy(e.file_off, lay.head_end);
+    if (err == 0 && lay.core_len > 0) {
+      err = kfs_->SwapExtentsForRelink(src_fd, lay.core_src, dst_fd, lay.head_end,
+                                       lay.core_len, /*new_dst_size=*/end);
+      if (err == -EINVAL) {
+        err = 0;  // Already relinked before the crash: idempotent skip.
+      }
     }
-    copy(lay.core_end, end);
-    kfs_->Close(src_fd);
-    kfs_->Close(dst_fd);
+    if (err == 0) {
+      err = copy(lay.core_end, end);
+    }
+    if (err != 0) {
+      break;
+    }
+  }
+  for (const ReplayFd* f : {&src, &dst}) {
+    if (f->fd >= 0) {
+      kfs_->Close(f->fd);
+    }
+  }
+  if (err != 0) {
+    // A run is missing bytes acknowledged as durable (ENOSPC, EIO). Keep the log: a
+    // later Recover replays it again, and replay is idempotent.
+    return err;
   }
   oplog_->Reset();
 

@@ -93,7 +93,9 @@ struct CostModel {
   uint64_t usplit_close_cpu_ns = 350;     // Bookkeeping retained on close.
   uint64_t usplit_fsync_cpu_ns = 200;     // Pre-relink staged-range collection.
   uint64_t usplit_unlink_cpu_ns = 300;    // Cache teardown (plus munmaps, charged each).
-  uint64_t usplit_log_checkpoint_cpu_ns = 4000;  // Op-log full: relink-all + zero.
+  // Op-log full: the dirty-file sweep. Its relinks and the one header write that
+  // resets the log are charged where they happen.
+  uint64_t usplit_log_checkpoint_cpu_ns = 4000;
 
   // Derived helpers -------------------------------------------------------------------
   uint64_t PmWriteCost(uint64_t bytes) const {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/crash/crash_runner.h"
@@ -1200,6 +1201,197 @@ TEST(CrashMatrixSmoke, InterleavedRangeWriterCutsAreDeterministic) {
       EXPECT_EQ(a.acked, b.acked);
       EXPECT_EQ(a.fingerprint, b.fingerprint);  // Byte-identical recovered states.
     }
+  }
+}
+
+// --- Full op-log column ------------------------------------------------------------------
+//
+// A 4 KiB op log (62 entry slots) fills within a few dozen fsyncs and forces
+// CheckpointForFull: in strict mode through the logged writes, in POSIX and sync mode
+// through async relink's intent and done records. A checkpoint ends with one store,
+// its header (OpLog::Reset), and one fence. Each cell cuts power right after a
+// header store and drops or tears the unfenced lines. Oracles: every fsync'd byte
+// reads back exactly, and fsck is clean.
+
+constexpr int kFullLogFiles = 3;
+constexpr int kFullLogRounds = 100;
+constexpr uint64_t kFullLogChunk = 1500;  // Unaligned: runs have partial blocks.
+constexpr uint64_t kFullLogBytes = 4 * common::kKiB;
+constexpr uint64_t kHeaderBytes = 2 * sizeof(splitfs::LogEntry);
+
+std::unique_ptr<crash::World> MakeFullLogWorld(splitfs::Mode mode) {
+  auto w = std::make_unique<crash::World>();
+  w->dev = std::make_unique<pmem::Device>(&w->ctx, 64 * common::kMiB);
+  w->kfs = std::make_unique<ext4sim::Ext4Dax>(w->dev.get());
+  splitfs::Options o;
+  o.mode = mode;
+  o.async_relink = mode != splitfs::Mode::kStrict;
+  o.num_staging_files = 2;
+  o.staging_file_bytes = 4 * common::kMiB;
+  o.oplog_bytes = kFullLogBytes;
+  w->fs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
+  w->dev->EnableCrashTracking(true);
+  return w;
+}
+
+// Device offset of the op log's two header slots, the last two of its file (the
+// instance has the default runtime dir and tag).
+uint64_t HeaderSlotsDev(ext4sim::Ext4Dax* kfs) {
+  int fd = kfs->Open(splitfs::Options{}.runtime_dir + "/oplog-u0", vfs::kRdOnly);
+  SPLITFS_CHECK(fd >= 0);
+  std::vector<ext4sim::Ext4Dax::DaxMapping> maps;
+  const uint64_t off = kFullLogBytes - kHeaderBytes;
+  SPLITFS_CHECK(kfs->DaxMap(fd, off, kHeaderBytes, &maps) == 0);
+  kfs->Close(fd);
+  return maps[0].dev_off + (off - maps[0].file_off);  // Mappings are whole blocks.
+}
+
+std::array<splitfs::LogEntry, 2> ReadHeaderSlots(const pmem::Device& dev, uint64_t at) {
+  std::array<splitfs::LogEntry, 2> h;
+  std::memcpy(h.data(), dev.DirectMap(at), kHeaderBytes);
+  return h;
+}
+
+struct HeaderStore {
+  uint64_t ordinal;  // Stores issued before it since the observer was installed.
+  int slot;          // Which header slot it wrote.
+};
+
+class HeaderStoreRecorder : public pmem::DeviceObserver {
+ public:
+  explicit HeaderStoreRecorder(uint64_t at) : at_(at) {}
+  void OnStore(uint64_t off, uint64_t n, bool) override {
+    if (off < at_ + kHeaderBytes && off + n > at_) {
+      stores_.push_back({count_, static_cast<int>((off - at_) / sizeof(splitfs::LogEntry))});
+    }
+    ++count_;
+  }
+  void OnClwb(uint64_t, uint64_t) override {}
+  void OnFence(uint64_t) override {}
+  const std::vector<HeaderStore>& stores() const { return stores_; }
+
+ private:
+  uint64_t at_;
+  uint64_t count_ = 0;
+  std::vector<HeaderStore> stores_;
+};
+
+// Round-robin over the files: two unaligned appends, then an fsync. `synced` holds
+// each file's bytes as of its last fsync that returned.
+void RunFullLogSchedule(vfs::FileSystem* fs, std::vector<std::vector<uint8_t>>* synced) {
+  std::vector<std::vector<uint8_t>> written(kFullLogFiles);
+  std::vector<int> fds(kFullLogFiles, -1);
+  for (int r = 0; r < kFullLogRounds; ++r) {
+    const int f = r % kFullLogFiles;
+    if (fds[f] < 0) {
+      fds[f] = fs->Open(std::string("/full").append(std::to_string(f)),
+                        vfs::kRdWr | vfs::kCreate);
+      SPLITFS_CHECK(fds[f] >= 0);
+    }
+    for (int half = 0; half < 2; ++half) {
+      std::vector<uint8_t> chunk(kFullLogChunk);
+      for (uint64_t i = 0; i < chunk.size(); ++i) {
+        chunk[i] = static_cast<uint8_t>(r * 37 + half * 101 + i * 13 + 1);
+      }
+      SPLITFS_CHECK(fs->Pwrite(fds[f], chunk.data(), chunk.size(), written[f].size()) ==
+                    static_cast<ssize_t>(chunk.size()));
+      written[f].insert(written[f].end(), chunk.begin(), chunk.end());
+    }
+    SPLITFS_CHECK(fs->Fsync(fds[f]) == 0);
+    (*synced)[f] = written[f];
+  }
+  for (int fd : fds) {
+    SPLITFS_CHECK(fs->Close(fd) == 0);
+  }
+}
+
+// An uncut run of the schedule: every checkpoint's header store.
+std::vector<HeaderStore> RecordHeaderStores(splitfs::Mode mode) {
+  std::unique_ptr<crash::World> w = MakeFullLogWorld(mode);
+  HeaderStoreRecorder recorder(HeaderSlotsDev(w->kfs.get()));
+  w->dev->SetObserver(&recorder);
+  std::vector<std::vector<uint8_t>> synced(kFullLogFiles);
+  RunFullLogSchedule(w->fs.get(), &synced);
+  w->dev->SetObserver(nullptr);
+  EXPECT_EQ(recorder.stores().size(),
+            static_cast<splitfs::SplitFs*>(w->fs.get())->Checkpoints());
+  return recorder.stores();
+}
+
+// Re-runs the schedule with power cut right after store `ordinal`, drains the
+// unfenced lines by `fate`, recovers and checks the oracles. Returns the header slots
+// in the crash image and after recovery.
+std::pair<std::array<splitfs::LogEntry, 2>, std::array<splitfs::LogEntry, 2>>
+RunFullLogCell(splitfs::Mode mode, uint64_t ordinal, const pmem::Device::LineFateFn& fate,
+               const std::string& what) {
+  std::unique_ptr<crash::World> w = MakeFullLogWorld(mode);
+  const uint64_t headers = HeaderSlotsDev(w->kfs.get());
+  std::vector<std::vector<uint8_t>> synced(kFullLogFiles);
+  crash::CrashInjector cut({crash::CrashPoint::Trigger::kAfterStore, ordinal});
+  w->dev->SetObserver(&cut);
+  bool crashed = false;
+  try {
+    RunFullLogSchedule(w->fs.get(), &synced);
+  } catch (const crash::CrashSignal&) {
+    crashed = true;
+  }
+  w->dev->SetObserver(nullptr);
+  EXPECT_TRUE(crashed) << what;
+  w->dev->CrashWith(fate);
+  std::array<splitfs::LogEntry, 2> image = ReadHeaderSlots(*w->dev, headers);
+  EXPECT_EQ(w->RecoverAll(), 0) << what;
+  for (int f = 0; f < kFullLogFiles; ++f) {
+    if (synced[f].empty()) {
+      continue;
+    }
+    int fd = w->fs->Open(std::string("/full").append(std::to_string(f)), vfs::kRdOnly);
+    EXPECT_GE(fd, 0) << what << ": file " << f;
+    std::vector<uint8_t> back(synced[f].size());
+    EXPECT_EQ(w->fs->Pread(fd, back.data(), back.size(), 0),
+              static_cast<ssize_t>(back.size()));
+    EXPECT_TRUE(back == synced[f]) << what << ": fsync'd bytes of file " << f
+                                   << " differ after recovery";
+    w->fs->Close(fd);
+  }
+  for (const auto& p : ext4sim::RunFsck(w->kfs.get()).problems) {
+    ADD_FAILURE() << what << ": " << p;
+  }
+  return {image, ReadHeaderSlots(*w->dev, headers)};
+}
+
+const splitfs::Mode kAllModes[] = {splitfs::Mode::kPosix, splitfs::Mode::kSync,
+                                   splitfs::Mode::kStrict};
+
+TEST(CrashMatrixSmoke, FullOpLogHeaderCutsKeepEveryFsyncedByte) {
+  for (splitfs::Mode mode : kAllModes) {
+    std::vector<HeaderStore> stores = RecordHeaderStores(mode);
+    ASSERT_GE(stores.size(), 2u) << splitfs::ModeName(mode) << ": the op log never refilled";
+    for (const HeaderStore& h : stores) {
+      for (FatePolicy fate : {FatePolicy::kDropAll, FatePolicy::kTorn}) {
+        RunFullLogCell(mode, h.ordinal, crash::MakeFate(fate, kSeed ^ h.ordinal),
+                       std::string(splitfs::ModeName(mode)) + " header store#" +
+                           std::to_string(h.ordinal) + "/" + crash::FateName(fate));
+      }
+    }
+  }
+}
+
+TEST(CrashMatrixSmoke, TornSecondHeaderFallsBackToTheFirstAndRecoveryKeepsIt) {
+  for (splitfs::Mode mode : kAllModes) {
+    std::vector<HeaderStore> stores = RecordHeaderStores(mode);
+    ASSERT_GE(stores.size(), 2u);
+    const int first = stores[0].slot;
+    ASSERT_NE(stores[1].slot, first);
+    // Every unfenced line loses its first 8 bytes: the second header's checksum and op.
+    auto [image, after] = RunFullLogCell(
+        mode, stores[1].ordinal, [](uint64_t, uint64_t) { return static_cast<uint8_t>(0xFE); },
+        std::string(splitfs::ModeName(mode)) + " torn second header");
+    ASSERT_TRUE(image[first].ValidHeader());
+    EXPECT_FALSE(image[1 - first].ValidHeader());
+    // Recovery's own reset wrote the torn slot; the first header is untouched.
+    EXPECT_EQ(0, std::memcmp(&after[first], &image[first], sizeof(splitfs::LogEntry)));
+    EXPECT_TRUE(after[1 - first].ValidHeader());
+    EXPECT_GT(after[1 - first].seq, image[first].seq);
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the optimized operation log (§3.3): 64 B checksummed entries, DRAM
-// tail, torn-entry detection, idempotent scan order, the windowed recovery scan and
-// replay coalescing.
+// tail, torn-entry detection, idempotent scan order, the header reset, the windowed
+// recovery scan that stops past the live end, and replay coalescing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/core/oplog.h"
+#include "src/crash/crash_plan.h"
 
 namespace {
 
@@ -121,7 +122,7 @@ TEST_F(OpLogTest, FullLogRejectsUntilReset) {
   EXPECT_FALSE(log_.Append(MakeEntry(9999)));
   log_.Reset();
   EXPECT_TRUE(log_.Append(MakeEntry(1)));
-  // Reset zeroed the area: only the new entry is found.
+  // Reset's header retired every earlier entry: only the new one is found.
   EXPECT_EQ(log_.ScanForRecovery().size(), 1u);
 }
 
@@ -262,11 +263,182 @@ TEST_F(OpLogTest, ConcurrentAppendsGetDistinctSlots) {
   }
 }
 
+// --- Header reset and the bounded scan -----------------------------------------------
+
+// The device offsets of every slot of `log`, entry slots then the two header slots.
+std::vector<uint64_t> SlotOffsets(ext4sim::Ext4Dax* kfs, const OpLog& log) {
+  const uint64_t bytes = (log.Capacity() + 2) * kCacheLineSize;
+  std::vector<ext4sim::Ext4Dax::DaxMapping> maps;
+  int fd = kfs->OpenByIno(log.ino(), vfs::kRdWr);
+  EXPECT_GE(fd, 0);
+  EXPECT_EQ(kfs->DaxMap(fd, 0, bytes, &maps), 0);
+  kfs->Close(fd);
+  std::vector<uint64_t> offs;
+  for (const auto& m : maps) {
+    for (uint64_t off = 0; off < m.len; off += kCacheLineSize) {
+      offs.push_back(m.dev_off + off);
+    }
+  }
+  EXPECT_EQ(offs.size(), log.Capacity() + 2);
+  return offs;
+}
+
+TEST_F(OpLogTest, ScanCrossesEveryLanesChunkOfDeadSlotsAndStopsOneSlotLater) {
+  OpLog log(&kfs_, "/oplog-wide", 128 * 1024);
+  std::vector<uint64_t> slot = SlotOffsets(&kfs_, log);
+  auto put = [&](uint64_t s, uint64_t seq) {
+    LogEntry e = MakeEntry(s);
+    e.seq = seq;
+    e.Seal();
+    dev_.StoreNt(slot[s], &e, kCacheLineSize, sim::PmWriteKind::kLog);
+  };
+  // Live entries at 0, 513 and 1027: the first gap is kMaxDeadRun slots (one of
+  // them torn), the second one more.
+  put(0, 1);
+  put(513, 2);
+  put(1027, 3);
+  LogEntry torn = MakeEntry(9);
+  torn.seq = 9;
+  torn.Seal();
+  torn.len ^= 1;
+  dev_.StoreNt(slot[200], &torn, kCacheLineSize, sim::PmWriteKind::kLog);
+  dev_.Fence();
+  std::vector<LogEntry> got = log.ScanForRecovery();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].seq, 2u);
+  // One more live slot shortens the second gap to kMaxDeadRun: the scan crosses it.
+  put(1026, 4);
+  dev_.Fence();
+  got = log.ScanForRecovery();
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[3].target_ino, 100u + 1026);
+}
+
+TEST_F(OpLogTest, ResetRetiresStaleEntriesAndTheScanReadsOnlyPastTheTail) {
+  OpLog log(&kfs_, "/oplog-1m", 1 * kMiB);
+  std::vector<uint64_t> slot = SlotOffsets(&kfs_, log);
+  for (uint64_t i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(log.Append(MakeEntry(i)));
+  }
+  log.Reset();
+  for (uint64_t i = 0; i < 1200; ++i) {
+    ASSERT_TRUE(log.Append(MakeEntry(i)));
+  }
+  // Slots 1200..4999 still hold sealed entries of the closed epoch.
+  LogEntry stale;
+  std::memcpy(&stale, dev_.DirectMap(slot[1200]), kCacheLineSize);
+  ASSERT_TRUE(stale.ValidSealed());
+  uint64_t t0 = ctx_.clock.Now();
+  uint64_t read0 = ctx_.stats.read_log_bytes();
+  std::vector<LogEntry> got = log.ScanForRecovery();
+  uint64_t charged = ctx_.clock.Now() - t0;
+  ASSERT_EQ(got.size(), 1200u);
+  EXPECT_EQ(got.front().seq, 5001u);
+  EXPECT_EQ(got.back().seq, 6200u);
+  // The header slots, then windows 0 and 1: the scan stops at slot 1199 + 513, in
+  // window 1 (the log is one mapping of 16 windows).
+  ASSERT_EQ(slot[1024], slot[0] + OpLog::kScanWindowBytes);
+  EXPECT_EQ(charged, ctx_.model.PmReadCost(2 * kCacheLineSize, /*sequential=*/false) +
+                         2 * ctx_.model.PmReadCost(OpLog::kScanWindowBytes,
+                                                   /*sequential=*/true));
+  EXPECT_EQ(ctx_.stats.read_log_bytes() - read0,
+            2 * kCacheLineSize + 2 * OpLog::kScanWindowBytes);
+}
+
+TEST_F(OpLogTest, ResetCostsOneHeaderWhateverTheLogSize) {
+  OpLog big(&kfs_, "/oplog-64m", 64 * kMiB);
+  ASSERT_TRUE(log_.Append(MakeEntry(0)));
+  ASSERT_TRUE(big.Append(MakeEntry(0)));
+  auto reset_cost = [this](OpLog* log) {
+    uint64_t t0 = ctx_.clock.Now();
+    uint64_t w0 = ctx_.stats.log_bytes();
+    uint64_t f0 = ctx_.stats.fences();
+    log->Reset();
+    EXPECT_EQ(ctx_.stats.log_bytes() - w0, kCacheLineSize);
+    EXPECT_EQ(ctx_.stats.fences() - f0, 1u);
+    return ctx_.clock.Now() - t0;
+  };
+  EXPECT_EQ(reset_cost(&log_), reset_cost(&big));
+}
+
+// Cuts power right after the next Reset's header store; `drained` says which of that
+// line's 8-byte chunks reach the media.
+void CutNextReset(pmem::Device* dev, OpLog* log, uint8_t drained) {
+  crash::CrashInjector cut({crash::CrashPoint::Trigger::kAfterStore, 0});
+  dev->SetObserver(&cut);
+  EXPECT_THROW(log->Reset(), crash::CrashSignal);
+  dev->SetObserver(nullptr);
+  dev->CrashWith([drained](uint64_t, uint64_t) { return drained; });
+}
+
+constexpr uint8_t kTornHeader = 0xFE;   // Checksum and op never drain.
+constexpr uint8_t kWholeHeader = 0xFF;  // The header survives the cut.
+
+std::vector<uint64_t> LiveSeqs(OpLog* log) {
+  std::vector<uint64_t> seqs;
+  for (const LogEntry& e : log->ScanForRecovery()) {
+    seqs.push_back(e.seq);
+  }
+  return seqs;
+}
+
+TEST_F(OpLogTest, TornHeaderFallsBackToThePreviousFloorWhichIsNeverOverwritten) {
+  dev_.EnableCrashTracking(true);
+  const uint64_t first_header = SlotOffsets(&kfs_, log_)[log_.Capacity()];
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(log_.Append(MakeEntry(i)));  // Seqs 1-3 in slots 0-2.
+  }
+  log_.Reset();  // Floor 3.
+  LogEntry header;
+  std::memcpy(&header, dev_.DirectMap(first_header), kCacheLineSize);
+  ASSERT_TRUE(header.ValidHeader());
+  ASSERT_TRUE(log_.Append(MakeEntry(3)));  // Seqs 4-5 over slots 0-1.
+  ASSERT_TRUE(log_.Append(MakeEntry(4)));
+  const std::vector<uint64_t> second_epoch = {4, 5};
+  // The second checkpoint's header is torn: recovery falls back to floor 3, which
+  // replays the epoch that checkpoint closed, and never the stale seq 3 in slot 2.
+  CutNextReset(&dev_, &log_, kTornHeader);
+  EXPECT_EQ(LiveSeqs(&log_), second_epoch);
+  // The reset after that writes the torn slot again, not the surviving header: torn
+  // too, the first header still decides.
+  CutNextReset(&dev_, &log_, kTornHeader);
+  EXPECT_EQ(0, std::memcmp(dev_.DirectMap(first_header), &header, kCacheLineSize));
+  EXPECT_EQ(LiveSeqs(&log_), second_epoch);
+  log_.Reset();
+  EXPECT_TRUE(LiveSeqs(&log_).empty());
+  EXPECT_EQ(0, std::memcmp(dev_.DirectMap(first_header), &header, kCacheLineSize));
+  ASSERT_TRUE(log_.Append(MakeEntry(5)));
+  EXPECT_EQ(LiveSeqs(&log_), std::vector<uint64_t>{6});
+}
+
+TEST_F(OpLogTest, HeaderThatSurvivesTheCutIsTheNewestAndIsNeverOverwritten) {
+  dev_.EnableCrashTracking(true);
+  const uint64_t second_header = SlotOffsets(&kfs_, log_)[log_.Capacity() + 1];
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(log_.Append(MakeEntry(i)));
+  }
+  log_.Reset();  // Floor 3, first header slot.
+  ASSERT_TRUE(log_.Append(MakeEntry(3)));
+  ASSERT_TRUE(log_.Append(MakeEntry(4)));
+  // The cut comes before the second header's fence, but the line drains whole: the
+  // scan must take it as the newest (floor 5) and aim the next reset at the other
+  // slot.
+  CutNextReset(&dev_, &log_, kWholeHeader);
+  LogEntry header;
+  std::memcpy(&header, dev_.DirectMap(second_header), kCacheLineSize);
+  ASSERT_TRUE(header.ValidHeader());
+  EXPECT_TRUE(LiveSeqs(&log_).empty());
+  ASSERT_TRUE(log_.Append(MakeEntry(5)));  // Seq 6: the next header differs.
+  CutNextReset(&dev_, &log_, kTornHeader);
+  EXPECT_EQ(0, std::memcmp(dev_.DirectMap(second_header), &header, kCacheLineSize));
+  EXPECT_EQ(LiveSeqs(&log_), std::vector<uint64_t>{6});
+}
+
 // --- Windowed recovery scan --------------------------------------------------------
 
 // A log built on a fragmented allocator: 25-block holes between 1-block pins, so the
-// 100-block log spans 4 mappings of 100 KiB, each read as a 64 KiB and a 36 KiB
-// window.
+// 100-block log spans 5 mappings. The middle three are 100 KiB, each read as a 64 KiB
+// and a 36 KiB window.
 class FragmentedOpLogTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kHoleBlocks = 25;
@@ -322,29 +494,15 @@ class FragmentedOpLogTest : public ::testing::Test {
     dev_.StoreNt(SlotDev(slot), &e, kCacheLineSize, sim::PmWriteKind::kLog);
   }
 
-  // The slots a windowed scan reads first and last: the first and last slot of every
-  // window of every mapping, in file order.
-  std::vector<uint64_t> WindowEdgeSlots() const {
-    std::vector<uint64_t> slots;
-    for (const auto& m : maps_) {
-      for (uint64_t off = 0; off < m.len; off += OpLog::kScanWindowBytes) {
-        uint64_t n = std::min(OpLog::kScanWindowBytes, m.len - off);
-        slots.push_back((m.file_off + off) / kCacheLineSize);
-        slots.push_back((m.file_off + off + n) / kCacheLineSize - 1);
-      }
-    }
-    return slots;
-  }
-
-  // What a per-slot scan returns: every nonzero, structurally valid, checksum-valid
-  // slot in file order, stably sorted by seq, first of each seq kept.
-  std::vector<LogEntry> PerSlotDecode() const {
-    static const LogEntry kZero{};
+  // What a per-slot scan of every entry slot returns: each structurally valid,
+  // checksum-valid slot above `floor` in file order, stably sorted by seq, first of
+  // each seq kept.
+  std::vector<LogEntry> PerSlotDecode(uint64_t floor) const {
     std::vector<LogEntry> out;
-    for (uint64_t slot = 0; slot < kLogBytes / kCacheLineSize; ++slot) {
+    for (uint64_t slot = 0; slot < log_->Capacity(); ++slot) {
       LogEntry e;
       std::memcpy(&e, dev_.DirectMap(SlotDev(slot)), kCacheLineSize);
-      if (std::memcmp(&e, &kZero, kCacheLineSize) != 0 && e.ValidSealed()) {
+      if (e.ValidSealed() && e.seq > floor) {
         out.push_back(e);
       }
     }
@@ -363,47 +521,55 @@ class FragmentedOpLogTest : public ::testing::Test {
   std::vector<ext4sim::Ext4Dax::DaxMapping> maps_;
 };
 
+LogEntry Sealed(LogOp op, uint64_t seq, uint64_t n) {
+  LogEntry e;
+  e.op = op;
+  e.target_ino = 100 + n;
+  e.staging_ino = 7;
+  e.file_off = n * kBlockSize;
+  e.staging_off = n * kBlockSize;
+  e.len = kBlockSize;
+  e.seq = seq;
+  e.Seal();
+  return e;
+}
+
 TEST_F(FragmentedOpLogTest, WindowedScanMatchesPerSlotDecodeAndChargesOneLoadPerWindow) {
-  ASSERT_GE(maps_.size(), 3u);
-  std::vector<uint64_t> edges = WindowEdgeSlots();
-  ASSERT_GT(edges.size(), 2 * maps_.size());  // Some mapping has several windows.
-  // Seqs descend with the slot, so the scan must sort; zero holes lie between.
-  uint64_t seq = 10'000;
-  for (uint64_t slot : edges) {
-    LogEntry e;
-    e.op = LogOp::kAppend;
-    e.target_ino = 100 + slot;
-    e.staging_ino = 7;
-    e.file_off = slot * kBlockSize;
-    e.staging_off = slot * kBlockSize;
-    e.len = kBlockSize;
-    e.seq = seq--;
-    e.Seal();
-    Put(slot, e);
+  ASSERT_GE(maps_.size(), 4u);
+  // Close one epoch first: its entries, and any sealed entry at or below its floor,
+  // are stale.
+  for (uint64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(log_->Append(Sealed(LogOp::kAppend, 0, i)));
   }
-  // Next to them: a torn entry, a checksum-valid garbage op, and a second entry with
-  // an already used seq in a later slot (the earlier slot's entry must win).
-  LogEntry torn;
-  torn.op = LogOp::kOverwrite;
-  torn.seq = 5;
-  torn.Seal();
+  log_->Reset();
+  const uint64_t floor = 40;
+  // Live entries fill every slot from 0 to a tail 100 slots before the end of the
+  // third mapping, as Append lays them out; each mapping ends in a short window.
+  // Seqs descend with the slot, so the scan must sort.
+  const uint64_t tail = (maps_[2].file_off + maps_[2].len) / kCacheLineSize - 100;
+  for (uint64_t slot = 0; slot < tail; ++slot) {
+    Put(slot, Sealed(LogOp::kAppend, floor + tail - slot, slot));
+  }
+  // Among them: a torn entry, a checksum-valid garbage op, a stale entry from the
+  // closed epoch, and a second entry with an already used seq in a later slot (the
+  // earlier slot's entry must win).
+  LogEntry torn = Sealed(LogOp::kOverwrite, floor + 5, 1);
   torn.len ^= 1;
-  Put(edges[0] + 1, torn);
-  LogEntry garbage;
-  garbage.op = static_cast<LogOp>(77);
-  garbage.seq = 6;
-  garbage.Seal();
-  Put(edges[2] + 1, garbage);
-  LogEntry dup;
-  dup.op = LogOp::kTruncate;
+  Put(1000, torn);
+  Put(2000, Sealed(static_cast<LogOp>(77), floor + 6, 2));
+  Put(2500, Sealed(LogOp::kAppend, floor, 3));
+  LogEntry dup = Sealed(LogOp::kTruncate, floor + tail, 4);
   dup.target_ino = 1;
-  dup.seq = 10'000;
   dup.Seal();
-  Put(edges.back() - 1, dup);
+  Put(tail - 1, dup);
+  // Past the tail: stale sealed entries, dead like zero slots.
+  for (uint64_t slot = tail; slot < tail + 64; ++slot) {
+    Put(slot, Sealed(LogOp::kAppend, 1 + slot % floor, slot));
+  }
   dev_.Fence();
 
-  std::vector<LogEntry> expected = PerSlotDecode();
-  ASSERT_EQ(expected.size(), edges.size());
+  std::vector<LogEntry> expected = PerSlotDecode(floor);
+  ASSERT_EQ(expected.size(), tail - 4);  // Torn, garbage, stale, and the dup's slot.
   uint64_t t0 = ctx_.clock.Now();
   std::vector<LogEntry> got = log_->ScanForRecovery();
   uint64_t charged = ctx_.clock.Now() - t0;
@@ -412,10 +578,16 @@ TEST_F(FragmentedOpLogTest, WindowedScanMatchesPerSlotDecodeAndChargesOneLoadPer
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(0, std::memcmp(&got[i], &expected[i], sizeof(LogEntry))) << "entry " << i;
   }
-  EXPECT_EQ(got.back().op, LogOp::kAppend);  // Seq 10000 from the first slot.
-  uint64_t model = 0;
+  EXPECT_EQ(got.back().op, LogOp::kAppend);  // The max seq from slot 0.
+  // The header slots, then every window up to the one holding the slot that ends
+  // the scan: the (kMaxDeadRun + 1)-th dead slot past the last live one (the dup at
+  // tail - 1), which lies in the fourth mapping.
+  const uint64_t stop = tail - 1 + OpLog::kMaxDeadRun + 1;
+  ASSERT_GE(stop * kCacheLineSize, maps_[3].file_off);
+  uint64_t model = ctx_.model.PmReadCost(2 * kCacheLineSize, /*sequential=*/false);
   for (const auto& m : maps_) {
-    for (uint64_t off = 0; off < m.len; off += OpLog::kScanWindowBytes) {
+    for (uint64_t off = 0; off < m.len && (m.file_off + off) / kCacheLineSize <= stop;
+         off += OpLog::kScanWindowBytes) {
       model += ctx_.model.PmReadCost(std::min(OpLog::kScanWindowBytes, m.len - off),
                                      /*sequential=*/true);
     }

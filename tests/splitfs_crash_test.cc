@@ -208,6 +208,44 @@ TEST(SplitFsCrash, ReplayIsIdempotentAcrossDoubleCrash) {
   EXPECT_EQ(st.size, data.size());
 }
 
+TEST(SplitFsCrash, ReplayOutOfSpaceFailsAndKeepsTheLogForARetry) {
+  // The staged append starts inside a block the target does not have (its end is
+  // sparse), so replay allocates to copy the head partial block. With no free space,
+  // replay must report ENOSPC rather than relink around a hole that reads back as
+  // zeros, and keep the log so that a retry after freeing space restores every byte.
+  CrashWorld w(Mode::kStrict);
+  int fd = w.fs->Open("/f", vfs::kRdWr | vfs::kCreate);
+  ASSERT_EQ(w.fs->Ftruncate(fd, 1000), 0);
+  ASSERT_EQ(w.fs->Fsync(fd), 0);
+  auto data = Pattern(7000, 12);
+  ASSERT_EQ(w.fs->Pwrite(fd, data.data(), data.size(), 1000),
+            static_cast<ssize_t>(data.size()));
+  w.dev->Crash();
+  ASSERT_EQ(w.kfs->Recover(), 0);
+  int filler = w.kfs->Open("/filler", vfs::kRdWr | vfs::kCreate);
+  ASSERT_GE(filler, 0);
+  uint64_t filled = 0;
+  for (uint64_t chunk = 256 * kMiB; chunk >= kBlockSize;) {
+    if (w.kfs->Fallocate(filler, filled, chunk, /*keep_size=*/false) == 0) {
+      filled += chunk;
+    } else {
+      chunk /= 2;
+    }
+  }
+  EXPECT_EQ(w.fs->Recover(), -ENOSPC);
+  ASSERT_EQ(w.kfs->Close(filler), 0);
+  ASSERT_EQ(w.kfs->Unlink("/filler"), 0);
+  ASSERT_EQ(w.kfs->CommitJournal(/*fsync_barrier=*/true), 0);  // Frees the blocks.
+  ASSERT_EQ(w.fs->Recover(), 0);
+  int fd2 = w.fs->Open("/f", vfs::kRdWr);
+  ASSERT_GE(fd2, 0);
+  std::vector<uint8_t> back(8000);
+  ASSERT_EQ(w.fs->Pread(fd2, back.data(), back.size(), 0), 8000);
+  EXPECT_EQ(std::vector<uint8_t>(back.begin(), back.begin() + 1000),
+            std::vector<uint8_t>(1000, 0));
+  EXPECT_EQ(std::vector<uint8_t>(back.begin() + 1000, back.end()), data);
+}
+
 TEST(SplitFsCrash, UnlinkedTargetSkippedDuringReplay) {
   CrashWorld w(Mode::kStrict);
   int fd = w.fs->Open("/doomed", vfs::kRdWr | vfs::kCreate);

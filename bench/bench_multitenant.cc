@@ -206,16 +206,12 @@ RunResult RunScenario(int app_tenants, int threads, Variant variant) {
   sim::Context ctx;
   pmem::Device dev(&ctx, 2 * common::kGiB);
   ext4sim::Ext4Dax kfs(&dev);
-  // Caller-side journal commits: each committer renders its commit's service time
-  // on its own lane, into the shared commit stamp. That is the sharpest honest
-  // model of the contended journal — the storm's threads stream service into the
-  // stamp in parallel, and every neighbor commit fast-forwards past it. (The
-  // shared commit service thread is exercised by tenant_test; routing the bench
-  // through it would bottleneck the *storm* on cross-thread handshakes and
-  // understate the interference being measured.)
-  tenant::RouterOptions ropts;
-  ropts.journal_service = false;
-  tenant::TenantRouter router(&kfs, ropts);
+  // Journal commits run on the thread that forces them: each committer renders its
+  // commit's service time on its own lane, into the shared commit stamp. That is
+  // the sharpest honest model of the contended journal — the storm's threads stream
+  // service into the stamp in parallel, and every neighbor commit fast-forwards
+  // past it.
+  tenant::TenantRouter router(&kfs);
 
   const bool storm = variant != Variant::kSolo;
   if (storm) {

@@ -1,10 +1,10 @@
 // Example: the SplitFS feature no other PM file system offers (§3.2) — concurrent
 // applications choosing *different* consistency modes over one shared file system —
 // scaled out through the TenantRouter: namespace-rooted tenants behind one POSIX
-// entry point, every instance's background work riding two shared service
-// threads (staging replenisher, journal commit), and per-tenant QoS so
-// the strict tenant's commit storm pays its own throttle instead of starving the
-// POSIX neighbor.
+// entry point, every instance's background work riding one shared service thread
+// (the staging replenisher; journal commits run on the thread that forces them),
+// and per-tenant QoS so the strict tenant's commit storm pays its own throttle
+// instead of starving the POSIX neighbor.
 //
 //   build/examples/multi_tenant_modes
 #include <cstdio>
@@ -41,10 +41,11 @@ int main() {
   log_opts.fs.async_relink = true;
   router.Mount("logs", log_opts);
 
+  const int threads = router.ServiceThreads();
   std::printf("tenants: db (%s) + logs (%s) — one K-Split instance, %d shared "
-              "service threads\n\n",
+              "service thread%s\n\n",
               router.tenant_fs("db")->Name().c_str(),
-              router.tenant_fs("logs")->Name().c_str(), router.ServiceThreads());
+              router.tenant_fs("logs")->Name().c_str(), threads, threads == 1 ? "" : "s");
 
   // Tenant "db" runs transactions through the router's namespace.
   apps::WalDb db(&router, "/db/bank.db");

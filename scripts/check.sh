@@ -8,8 +8,9 @@
 #   scripts/check.sh -L examples       # build + run the examples/ smoke programs
 #   scripts/check.sh -L obs            # observability layer: obs_test + the
 #                                      # trace_tour export/reconciliation smoke
-#   scripts/check.sh -L tenant         # tenant router: path/fd routing, shared
-#                                      # service pools, per-tenant QoS, churn
+#   scripts/check.sh -L tenant         # tenant router: path/fd routing, the one
+#                                      # shared replenisher pool, per-tenant QoS
+#                                      # and commit attribution, churn
 #   scripts/check.sh -L analysis       # analysis layer: checker/witness unit +
 #                                      # mutation self-tests, plus the crash-smoke/
 #                                      # journal/U-Split/tenant/concurrency suites
@@ -18,6 +19,7 @@
 #   scripts/check.sh --tsan            # ThreadSanitizer build, concurrency tests only
 #   scripts/check.sh --asan            # AddressSanitizer build, full quick suite
 #   scripts/check.sh --ubsan           # UBSan build, full quick suite
+#   scripts/check.sh --release         # -O3 Release build, full quick suite
 #   scripts/check.sh --tidy            # clang-tidy over src/ (bugprone, concurrency,
 #                                      # performance checks; see .clang-tidy)
 #
@@ -50,9 +52,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # (Options::async_relink: intents fenced, then published on the fsync/close
   # caller, concurrent with other writers and readers) — so the
   # intent-log/publish/fence protocol is TSan-verified on every pass. The tenant
-  # router's mount/unmount churn race suite (tenant_test) rides the same label,
-  # and so does common_test: the ServicePool unit tests (the one background
-  # executor) and the EpochGc group.
+  # router's suite (tenant_test: mount/unmount churn racing writers that commit
+  # the shared journal on their own threads, over the one shared replenisher
+  # pool) rides the same label, and so does common_test: the ServicePool dedup
+  # and drain tests and the EpochGc group.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -L concurrency "$@"
   exit 0
@@ -72,6 +75,17 @@ if [[ "${1:-}" == "--asan" || "${1:-}" == "--ubsan" ]]; then
   cmake --build "build-$san" -j"$(nproc)"
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir "build-$san" --output-on-failure -j"$(nproc)" -LE crash_matrix "$@"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--release" ]]; then
+  # Release build (-O3, still -Werror): GCC raises some warnings only under
+  # Release inlining (false -Wrestrict positives on string temporaries), which
+  # no other pass compiles. Runs the quick suite, like the sanitizer passes.
+  shift
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-release -j"$(nproc)"
+  ctest --test-dir build-release --output-on-failure -j"$(nproc)" -LE crash_matrix "$@"
   exit 0
 fi
 

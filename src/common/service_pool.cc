@@ -5,9 +5,7 @@
 
 namespace common {
 
-thread_local const ServicePool* ServicePool::tls_running_in_ = nullptr;
-
-ServicePool::ServicePool(std::string name, int threads) : name_(std::move(name)) {
+ServicePool::ServicePool(int threads) {
   int n = std::max(1, threads);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -56,16 +54,6 @@ void ServicePool::Drain(uint64_t client_key) {
   });
 }
 
-void ServicePool::DrainAll() {
-  std::unique_lock<std::mutex> lk(mu_);
-  drain_cv_.wait(lk, [&] { return stop_ || (queue_.empty() && running_total_ == 0); });
-}
-
-size_t ServicePool::QueueDepth() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size();
-}
-
 void ServicePool::WorkerLoop() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
@@ -75,13 +63,9 @@ void ServicePool::WorkerLoop() {
     }
     Job job = std::move(queue_.front());
     queue_.pop_front();
-    ++running_total_;
     lk.unlock();
-    tls_running_in_ = this;
     job.fn();
-    tls_running_in_ = nullptr;
     lk.lock();
-    --running_total_;
     auto it = pending_.find(job.key);
     if (it != pending_.end() && --it->second == 0) {
       pending_.erase(it);

@@ -82,10 +82,10 @@ struct Options {
 // Shared-service wiring for multi-tenant deployments (src/tenant/). All pointers
 // are borrowed (the tenant router outlives every instance it mounts) and all
 // default to null, which means "own your services": a 1-worker replenisher pool
-// per instance (only when replenish_thread is on), inline journal commits — the
-// single-tenant behavior. With the pool set, the instance registers its replenish
-// passes with the shared pool instead of owning one; with a token bucket set,
-// foreground admission to that service is paced on the caller's virtual timeline.
+// per instance (only when replenish_thread is on) — the single-tenant behavior.
+// With the pool set, the instance registers its replenish passes with the shared
+// pool instead of owning one; with a token bucket set, foreground admission to
+// that service is paced on the caller's virtual timeline.
 struct Services {
   common::ServicePool* replenisher_pool = nullptr;
   // QoS: paces staging-file consumption (one token per staging file a lane takes).

@@ -1871,9 +1871,14 @@ int SplitFs::Recover() {
   // garbage-collected out of band, as a real restart would clean its runtime dir).
   if (opts_.enable_staging) {
     static std::atomic<uint64_t> recover_epoch{0};
-    staging_ = std::make_unique<StagingPool>(
+    int status = 0;
+    auto pool = std::make_unique<StagingPool>(
         kfs_, &mmaps_, opts_, tag_ + "-r" + std::to_string(recover_epoch.fetch_add(1)),
-        services_);
+        services_, &status);
+    if (status != 0) {
+      return status;  // Out of space. Replay is done, so a retry only builds the pool.
+    }
+    staging_ = std::move(pool);
   }
   return 0;
 }

@@ -10,7 +10,8 @@
 namespace splitfs {
 
 StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options& opts,
-                         const std::string& instance_tag, const Services& services)
+                         const std::string& instance_tag, const Services& services,
+                         int* status)
     : kfs_(kfs), mmaps_(mmaps), ctx_(kfs->context()), opts_(opts), services_(services) {
   dir_ = opts.runtime_dir + "/stage-" + instance_tag;
   qos_resource_ = "tenant." + instance_tag + ".staging_throttle";
@@ -27,15 +28,23 @@ StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options&
   {
     std::lock_guard<std::mutex> pl(pool_mu_);
     for (uint32_t i = 0; i < opts_.num_staging_files; ++i) {
-      SPLITFS_CHECK(CreateStageFileLocked(CreateMode::kForeground));
+      if (!CreateStageFileLocked(CreateMode::kForeground)) {
+        SPLITFS_CHECK(status != nullptr && "staging pool out of space");
+        // Give the space back, so that a retry after freeing space fits a whole pool.
+        for (StageFile& sf : spare_) {
+          Retire(&sf);
+        }
+        spare_.clear();
+        *status = -ENOSPC;
+        return;
+      }
     }
   }
   // Without replenish_thread the deterministic inline fallback stands in.
   if (opts_.replenish_thread) {
     replenisher_pool_ = services_.replenisher_pool;
     if (replenisher_pool_ == nullptr) {
-      owned_replenisher_pool_ =
-          std::make_unique<common::ServicePool>(instance_tag + ".replenisher");
+      owned_replenisher_pool_ = std::make_unique<common::ServicePool>();
       replenisher_pool_ = owned_replenisher_pool_.get();
     }
   }

@@ -55,9 +55,13 @@ class StagingPool {
   // `replenisher_pool` set (and Options::replenish_thread on), replenish passes run
   // on the shared pool instead of one the StagingPool owns; with `staging_tokens`
   // set, each staging file a lane takes costs one token, pacing the tenant's
-  // staging consumption on its own timeline.
+  // staging consumption on its own timeline. When K-Split cannot hold the
+  // pre-created files the constructor aborts, unless `status` is set: then it
+  // unlinks the files it did create, stores -ENOSPC in *status, and the pool must
+  // not be used (a restart reports the error instead of dying).
   StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options& opts,
-              const std::string& instance_tag, const Services& services = {});
+              const std::string& instance_tag, const Services& services = {},
+              int* status = nullptr);
   ~StagingPool();
 
   StagingPool(const StagingPool&) = delete;

@@ -8,7 +8,6 @@
 #include "src/analysis/annotations.h"
 #include "src/analysis/persist_checker.h"
 #include "src/common/bytes.h"
-#include "src/common/service_pool.h"
 
 namespace ext4sim {
 
@@ -287,45 +286,7 @@ void Journal::CommitRunning(bool fsync_barrier, const char* who) {
     WaitForCommit(target);
     return;
   }
-  if (service_pool_ != nullptr && !service_pool_->OnWorkerThread()) {
-    // Shared commit service: record the tid, hand the writeout to the pool, and
-    // sleep in log_wait_commit. The fsync commit-thread handshake is the *caller's*
-    // cost (it exists precisely because the committer is another thread), so it is
-    // charged here on the caller's timeline; the pass itself commits barrier-free.
-    if (fsync_barrier) {
-      ctx_->ChargeCpu(ctx_->model.ext4_fsync_barrier_ns);
-    }
-    uint64_t prev = requested_tid_.load(std::memory_order_relaxed);
-    while (prev < target &&
-           !requested_tid_.compare_exchange_weak(prev, target,
-                                                 std::memory_order_acq_rel)) {
-    }
-    service_pool_->Submit(reinterpret_cast<uint64_t>(this), [this] { ServiceCommitPass(); });
-    WaitForCommit(target);
-    return;
-  }
   CommitTid(target, fsync_barrier);
-}
-
-void Journal::ServiceCommitPass() {
-  // The pass binds a clock lane: its device stores and cpu charges accrue to a
-  // private timeline and the commit stamp, so lane-bound waiters fast-forward past
-  // exactly the service time a caller-side commit would have rendered.
-  sim::Clock::Lane lane(&ctx_->clock);
-  for (;;) {
-    uint64_t want = requested_tid_.load(std::memory_order_acquire);
-    if (CommittedTid() >= want) {
-      return;
-    }
-    CommitTid(want, /*fsync_barrier=*/false);
-  }
-}
-
-void Journal::SetServicePool(common::ServicePool* pool) {
-  if (service_pool_ != nullptr && pool == nullptr) {
-    service_pool_->Drain(reinterpret_cast<uint64_t>(this));
-  }
-  service_pool_ = pool;
 }
 
 void Journal::CommitTid(uint64_t target, bool fsync_barrier) {

@@ -75,10 +75,6 @@
 #include "src/pmem/device.h"
 #include "src/sim/context.h"
 
-namespace common {
-class ServicePool;
-}
-
 namespace ext4sim {
 
 // Identifies a distinct metadata block for dirty-set dedup within a transaction.
@@ -188,9 +184,10 @@ class Journal {
   // past the commit service time rendered while it slept.
   void WaitForCommit(uint64_t tid);
 
-  // Commits the running transaction and waits for its completion. `fsync_barrier`
-  // selects the heavyweight path (commit-thread handshake + wait), used by fsync;
-  // the timer/background path and the relink ioctl path skip it. Clean fast path:
+  // Commits the running transaction and waits for its completion. The writeout runs
+  // on the calling thread; `fsync_barrier` charges it the kjournald handshake
+  // (ext4_fsync_barrier_ns), used by fsync; the timer/background path and the relink
+  // ioctl path skip it. Clean fast path:
   // if the running transaction is empty and every prior tid has committed, returns
   // without touching the barrier. If the durability horizon is an in-flight commit,
   // waits on its tid instead of starting a new writeout. Must not be called while
@@ -239,18 +236,6 @@ class Journal {
   }
 
   uint64_t commits() const { return commits_.load(std::memory_order_relaxed); }
-
-  // Shared journal-commit service (multi-tenant deployments). With a pool set,
-  // CommitRunning no longer performs the writeout on the calling thread: the caller
-  // records the tid it needs durable, registers one commit pass with the pool
-  // (queued passes dedup — one pass serves every tid requested before it runs), and
-  // sleeps in log_wait_commit. The pass runs on a pool worker under its own clock
-  // lane, so commit service time still accumulates in the commit stamp and waiters
-  // still fast-forward past it — the virtual-time cost of a commit is unchanged;
-  // only which thread renders it moves. Null (the default) keeps the caller-commits
-  // behavior bit-identical. Swapping to null drains in-flight passes first. Must
-  // not be called concurrently with commits (mount/unmount points only).
-  void SetServicePool(common::ServicePool* pool);
 
   // Journal bytes not occupied by logged-but-not-yet-checkpointed transactions.
   // Monotone within a commit; replenished by checkpoint writeback.
@@ -322,8 +307,6 @@ class Journal {
   // the barrier released, runs deferred actions, publishes the tid. Caller must NOT
   // hold commit_mu_ — this takes it.
   void CommitTid(uint64_t target, bool fsync_barrier);
-  // One shared-pool pass: commits until every requested tid is durable.
-  void ServiceCommitPass();
   // Records that `who` needs `tid` durable (attribution bookkeeping).
   void NoteCommitRequest(const char* who, uint64_t tid);
   // Splits `dt` of commit service equally across every tag whose pending request
@@ -375,12 +358,6 @@ class Journal {
   std::function<void()> checkpoint_hook_;      // Test-only; see setter.
   bool legacy_commit_order_for_test_ = false;  // Test-only; see setter.
   std::atomic<uint64_t> commits_{0};
-
-  // Shared commit service (SetServicePool). requested_tid_ is the newest tid any
-  // caller has asked the service to make durable; a pass loops until the committed
-  // horizon covers it, so a request recorded while a pass runs is never lost.
-  common::ServicePool* service_pool_ = nullptr;
-  std::atomic<uint64_t> requested_tid_{0};
 
   // Per-tag commit-service attribution (see CommitRunning). pending_attr_ maps a
   // tag to the newest tid it asked for; a completing commit collects every tag its

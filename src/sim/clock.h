@@ -218,9 +218,9 @@ class ResourceStamp {
   }
 
   // Credits `ns` of service rendered on behalf of this resource by another timeline:
-  // the shared journal-commit service splits one coalesced writeout's measured
-  // duration across the tenants whose fsyncs it satisfied, crediting each tenant's
-  // stamp its share. Unlike Acquire/Release this is lane-independent — the rendering
+  // the shared journal splits one coalesced writeout's measured duration across the
+  // tenants whose commit requests it satisfied, crediting each tenant's stamp its
+  // share. Unlike Acquire/Release this is lane-independent — the rendering
   // thread brackets its own section; here we only record the pre-split duration.
   void AddBusy(Clock* clock, uint64_t ns) {
     Refresh(clock);
@@ -259,11 +259,12 @@ class ResourceStamp {
 };
 
 // Brackets work that really happens on the calling thread but belongs to a
-// background context of the simulated machine — staging replenishment, retirement of
-// epoch-reclaimed snapshots, the async relink publish. The elapsed virtual charge is rewound on destruction, so foreground
-// timelines are identical whether the background work runs inline (deterministic
-// store sequence, what the crash harness needs) or on a real thread (whose charges
-// land on the shared timeline that lane-based measurements ignore).
+// background context of the simulated machine: staging-file creation and retirement
+// (staging.cc) and the async relink publish (split_fs.cc). The elapsed virtual
+// charge is rewound on destruction, so foreground timelines are identical whether
+// the background work runs inline (deterministic store sequence, what the crash
+// harness needs) or on a real thread (whose charges land on the shared timeline that
+// lane-based measurements ignore).
 class ScopedOffClock {
  public:
   explicit ScopedOffClock(Clock* clock) : clock_(clock), t0_(clock->Now()) {

@@ -7,19 +7,10 @@
 
 namespace tenant {
 
-TenantRouter::TenantRouter(ext4sim::Ext4Dax* kfs, RouterOptions ropts)
-    : kfs_(kfs),
-      ctx_(kfs->context()),
-      ropts_(ropts),
-      replenisher_pool_("tenant.replenishers", ropts.replenisher_threads) {
-  if (ropts_.journal_service) {
-    journal_pool_ = std::make_unique<common::ServicePool>("tenant.journal", 1);
-    kfs_->journal_for_test()->SetServicePool(journal_pool_.get());
-  }
-}
+TenantRouter::TenantRouter(ext4sim::Ext4Dax* kfs) : kfs_(kfs), ctx_(kfs->context()) {}
 
 TenantRouter::~TenantRouter() {
-  // Tear tenants down while the pools are still alive: each instance's teardown
+  // Tear tenants down while the pool is still alive: each instance's teardown
   // drains its registered replenish passes. Gauges read through tenant state, so
   // they go first.
   {
@@ -34,18 +25,11 @@ TenantRouter::~TenantRouter() {
     }
     tenants_.clear();
   }
-  // Detach the journal commit service (drains it) before the pool is destroyed.
-  if (journal_pool_ != nullptr) {
-    kfs_->journal_for_test()->SetServicePool(nullptr);
-  }
 }
 
 std::string TenantRouter::Name() const { return "TenantRouter"; }
 
-int TenantRouter::ServiceThreads() const {
-  return replenisher_pool_.threads() +
-         (journal_pool_ != nullptr ? journal_pool_->threads() : 0);
-}
+int TenantRouter::ServiceThreads() const { return replenisher_pool_.threads(); }
 
 std::string TenantRouter::TenantIdOf(const std::string& path) {
   if (path.size() < 2 || path[0] != '/') {
@@ -88,8 +72,8 @@ int TenantRouter::Mount(const std::string& tenant_id, const TenantOptions& topts
   auto t = std::make_shared<Tenant>();
   t->id = tenant_id;
   if (topts.staging_tokens_per_sec > 0.0) {
-    t->staging_tokens = std::make_unique<sim::TokenBucket>(
-        topts.staging_tokens_per_sec, topts.staging_token_burst);
+    t->staging_tokens =
+        std::make_unique<sim::TokenBucket>(topts.staging_tokens_per_sec, /*burst=*/1.0);
   }
   if (topts.journal_credits_per_sec > 0.0) {
     t->journal_credits = std::make_unique<sim::TokenBucket>(

@@ -1,5 +1,5 @@
-// Tenant router: thousands of namespaces over shared service pools with per-tenant
-// QoS.
+// Tenant router: thousands of namespaces over one shared service pool with
+// per-tenant QoS.
 //
 // One TenantRouter mounts N namespace-rooted SplitFs instances — each with its own
 // Options (consistency mode, staging sizing, async relink) — behind a single
@@ -10,11 +10,10 @@
 // (EBADF) the moment the tenant unmounts.
 //
 // Service threads are the point: an unwired instance with replenish_thread owns a
-// 1-worker replenisher pool, so N of them burn N threads. The router owns two
-// bounded pools — one staging-replenisher pool, one journal-commit service — and
-// every mounted instance registers its passes with them instead of owning pools,
-// so 64 tenants (or thousands) run on ServiceThreads() == 2 by default. Async
-// relink needs no thread: each instance publishes on the fsync/close caller.
+// 1-worker replenisher pool, so N of them burn N threads. The router owns one
+// bounded replenisher pool that every mounted instance registers its passes with,
+// so 64 tenants (or thousands) run on ServiceThreads() == 1. Async relink publishes
+// and shared-journal commits need no thread: they run on the thread that forces them.
 //
 // QoS: per-tenant token buckets pace the two shared amplifiers — staging-file
 // consumption and foreground journal commits — on the tenant's own virtual
@@ -23,10 +22,10 @@
 // tenant.<id>.staging_throttle) instead of starving a posix-mode neighbor.
 // Zero rates mean unlimited.
 //
-// Determinism caveat: shared pool workers interleave tenants' background work in
-// real-time arrival order. Crash cells that need a deterministic store sequence
-// run with RouterOptions::journal_service off and replenish_thread off, so every
-// store lands on the driving thread.
+// Determinism caveat: the shared replenisher interleaves tenants' background work
+// in real-time arrival order. Crash cells that need a deterministic store sequence
+// run their tenants with replenish_thread off, so every store lands on the driving
+// thread.
 #ifndef SRC_TENANT_TENANT_ROUTER_H_
 #define SRC_TENANT_TENANT_ROUTER_H_
 
@@ -53,22 +52,13 @@ struct TenantOptions {
   double journal_credits_per_sec = 0.0;
   double journal_credit_burst = 1.0;
   // Staging-file tokens per second of simulated time (one per staging file a lane
-  // refills with). 0 = unlimited.
+  // refills with, burst 1). 0 = unlimited.
   double staging_tokens_per_sec = 0.0;
-  double staging_token_burst = 1.0;
-};
-
-struct RouterOptions {
-  int replenisher_threads = 1;
-  // Route the shared kernel journal's commits through a one-thread commit service
-  // (callers sleep in log_wait_commit while the worker seals + writes out). Off for
-  // deterministic crash cells, which need every store on the driving thread.
-  bool journal_service = true;
 };
 
 class TenantRouter : public vfs::FileSystem {
  public:
-  explicit TenantRouter(ext4sim::Ext4Dax* kfs, RouterOptions ropts = {});
+  explicit TenantRouter(ext4sim::Ext4Dax* kfs);
   ~TenantRouter() override;
 
   TenantRouter(const TenantRouter&) = delete;
@@ -76,7 +66,8 @@ class TenantRouter : public vfs::FileSystem {
 
   // Mounts `tenant_id` (one path component, no '/') as the subtree "/<tenant_id>".
   // Creates the tenant root directory, constructs the SplitFs instance wired to the
-  // shared pools and its QoS buckets, and registers the tenant.<id>.* gauges.
+  // shared replenisher pool and its QoS buckets, and registers the tenant.<id>.*
+  // gauges.
   // Returns 0, -EEXIST (already mounted), or -EINVAL (bad id).
   int Mount(const std::string& tenant_id, const TenantOptions& topts);
 
@@ -136,11 +127,9 @@ class TenantRouter : public vfs::FileSystem {
 
   ext4sim::Ext4Dax* kfs_;
   sim::Context* ctx_;
-  RouterOptions ropts_;
 
-  // Shared bounded service pools (the <= 2 threads serving every tenant).
+  // The shared staging-replenisher pool (the one thread serving every tenant).
   common::ServicePool replenisher_pool_;
-  std::unique_ptr<common::ServicePool> journal_pool_;  // When journal_service.
 
   mutable std::shared_mutex tenants_mu_;
   std::map<std::string, std::shared_ptr<Tenant>> tenants_;

@@ -568,10 +568,10 @@ TEST(CrashMatrixSmoke, MidCheckpointCrashStatesAreDeterministic) {
 // --- Tenant churn column --------------------------------------------------------------
 //
 // Power cuts during TenantRouter mount and during an unmount whose close publishes
-// staged data. The cells run with RouterOptions::journal_service and the staging
-// replenisher off so every store lands on the driving test thread (a CrashSignal on
-// a pool worker could not be caught), which also makes each state deterministic:
-// same ordinal + fate => byte-identical recovered fingerprint.
+// staged data. Journal commits run on the thread that forces them, and the cells
+// turn the staging replenisher off, so every store lands on the driving test thread
+// (a CrashSignal on a pool worker could not be caught), which also makes each state
+// deterministic: same ordinal + fate => byte-identical recovered fingerprint.
 
 struct ChurnCrashOutcome {
   bool crashed = false;
@@ -599,9 +599,7 @@ TenantWorld MakeTenantWorld() {
   tw.w = std::make_unique<crash::World>();
   tw.w->dev = std::make_unique<pmem::Device>(&tw.w->ctx, 64 * common::kMiB);
   tw.w->kfs = std::make_unique<ext4sim::Ext4Dax>(tw.w->dev.get());
-  tenant::RouterOptions ropts;
-  ropts.journal_service = false;  // Commits stay on the driving thread.
-  auto router = std::make_unique<tenant::TenantRouter>(tw.w->kfs.get(), ropts);
+  auto router = std::make_unique<tenant::TenantRouter>(tw.w->kfs.get());
   tw.router = router.get();
   tw.w->fs = std::move(router);
   return tw;

@@ -246,6 +246,67 @@ TEST(SplitFsCrash, ReplayOutOfSpaceFailsAndKeepsTheLogForARetry) {
   EXPECT_EQ(std::vector<uint8_t>(back.begin() + 1000, back.end()), data);
 }
 
+TEST(SplitFsCrash, StagingPoolOutOfSpaceAfterReplayFailsAndRetries) {
+  // The fsync relinked the append, so replay succeeds without allocating; only the
+  // fresh staging pool that Recover builds afterwards needs space. With room for one
+  // of its two files, Recover must report ENOSPC instead of aborting and give the
+  // file it did create back, and a retry after freeing space must build a whole
+  // pool and serve new writes.
+  const splitfs::Options opts = SmallOpts(Mode::kStrict);
+  CrashWorld w(opts);
+  int fd = w.fs->Open("/f", vfs::kRdWr | vfs::kCreate);
+  auto data = Pattern(6000, 13);
+  ASSERT_EQ(w.fs->Pwrite(fd, data.data(), data.size(), 0),
+            static_cast<ssize_t>(data.size()));
+  ASSERT_EQ(w.fs->Fsync(fd), 0);
+  w.dev->Crash();
+  ASSERT_EQ(w.kfs->Recover(), 0);
+  int gap = w.kfs->Open("/gap", vfs::kRdWr | vfs::kCreate);
+  ASSERT_GE(gap, 0);
+  ASSERT_EQ(w.kfs->Fallocate(gap, 0, opts.staging_file_bytes * 3 / 2, /*keep_size=*/false),
+            0);
+  int filler = w.kfs->Open("/filler", vfs::kRdWr | vfs::kCreate);
+  ASSERT_GE(filler, 0);
+  uint64_t filled = 0;
+  for (uint64_t chunk = 256 * kMiB; chunk >= kBlockSize;) {
+    if (w.kfs->Fallocate(filler, filled, chunk, /*keep_size=*/false) == 0) {
+      filled += chunk;
+    } else {
+      chunk /= 2;
+    }
+  }
+  ASSERT_EQ(w.kfs->Close(gap), 0);
+  ASSERT_EQ(w.kfs->Unlink("/gap"), 0);
+  ASSERT_EQ(w.kfs->CommitJournal(/*fsync_barrier=*/true), 0);
+  const uint64_t free_blocks = w.kfs->FreeBlocks();
+  EXPECT_EQ(w.fs->Recover(), -ENOSPC);
+  ASSERT_EQ(w.kfs->CommitJournal(/*fsync_barrier=*/true), 0);
+  EXPECT_EQ(w.kfs->FreeBlocks(), free_blocks);
+  ASSERT_EQ(w.kfs->Close(filler), 0);
+  ASSERT_EQ(w.kfs->Unlink("/filler"), 0);
+  ASSERT_EQ(w.kfs->CommitJournal(/*fsync_barrier=*/true), 0);  // Frees the blocks.
+  ASSERT_EQ(w.fs->Recover(), 0);
+  EXPECT_EQ(w.fs->staging_pool().SpareFiles(), opts.num_staging_files);
+
+  int fd2 = w.fs->Open("/f", vfs::kRdWr);
+  ASSERT_GE(fd2, 0);
+  std::vector<uint8_t> back(data.size());
+  ASSERT_EQ(w.fs->Pread(fd2, back.data(), back.size(), 0),
+            static_cast<ssize_t>(back.size()));
+  EXPECT_EQ(back, data);
+  auto more = Pattern(3000, 14);
+  ASSERT_EQ(w.fs->Pwrite(fd2, more.data(), more.size(), data.size()),
+            static_cast<ssize_t>(more.size()));
+  ASSERT_EQ(w.fs->Fsync(fd2), 0);
+  w.CrashAndRecover();
+  int fd3 = w.fs->Open("/f", vfs::kRdOnly);
+  ASSERT_GE(fd3, 0);
+  std::vector<uint8_t> all(data.size() + more.size());
+  ASSERT_EQ(w.fs->Pread(fd3, all.data(), all.size(), 0), static_cast<ssize_t>(all.size()));
+  EXPECT_EQ(std::vector<uint8_t>(all.begin(), all.begin() + data.size()), data);
+  EXPECT_EQ(std::vector<uint8_t>(all.begin() + data.size(), all.end()), more);
+}
+
 TEST(SplitFsCrash, UnlinkedTargetSkippedDuringReplay) {
   CrashWorld w(Mode::kStrict);
   int fd = w.fs->Open("/doomed", vfs::kRdWr | vfs::kCreate);

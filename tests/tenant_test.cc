@@ -4,12 +4,15 @@
 // Covers the multi-tenant claims:
 //   * path/fd routing: first component picks the tenant, fds go stale at unmount,
 //     cross-tenant rename is -EXDEV, unknown namespaces are -ENOENT;
-//   * 64 mounted tenants run on exactly 3 shared service threads (one publisher,
-//     one replenisher, one journal-commit worker) — mounting them starts no OS
-//     thread of its own — with every tenant's data intact;
+//   * 64 mounted tenants run on exactly 1 shared service thread (the staging
+//     replenisher) — mounting them starts no OS thread of its own — with every
+//     tenant's data intact;
 //   * per-tenant QoS: a throttled tenant's journal/staging waits land in the
 //     contention ledger under tenant.<id>.* while an unthrottled neighbor pays
 //     nothing, and the tenant.<id>.* gauges appear at mount and vanish at unmount;
+//   * shared-journal attribution: tenant.<id>.commit_service_ns credits the commit
+//     service each tenant's own fsyncs forced, and nothing to a tenant that never
+//     commits;
 //   * mount/unmount churn racing opens, writes, and stats on the shared router
 //     tables (the TSan target for router fd/path races).
 #include <gtest/gtest.h>
@@ -30,7 +33,6 @@ namespace {
 using common::kGiB;
 using common::kMiB;
 using splitfs::Mode;
-using tenant::RouterOptions;
 using tenant::TenantOptions;
 using tenant::TenantRouter;
 
@@ -62,9 +64,12 @@ class TenantTest : public ::testing::Test {
     return false;
   }
 
-  bool GaugeExists(const std::string& name) {
+  bool GaugeExists(const std::string& name, uint64_t* value = nullptr) {
     for (const auto& s : ctx_.obs.metrics.Snapshot()) {
       if (s.name == name) {
+        if (value != nullptr) {
+          *value = s.value;
+        }
         return true;
       }
     }
@@ -131,11 +136,11 @@ TEST_F(TenantTest, PathAndFdRouting) {
 }
 
 // The headline resource claim: 64 mounted namespaces, each with async relink and
-// the replenisher enabled, share exactly two service threads.
-TEST_F(TenantTest, SixtyFourTenantsTwoServiceThreads) {
+// the replenisher enabled, share exactly one service thread.
+TEST_F(TenantTest, SixtyFourTenantsOneServiceThread) {
   TenantRouter router(&kfs_);
-  ASSERT_EQ(router.ServiceThreads(), 2);
-  // ServiceThreads() counts the router's own pools; the OS count checks that no
+  ASSERT_EQ(router.ServiceThreads(), 1);
+  // ServiceThreads() counts the router's own pool; the OS count checks that no
   // mounted instance starts a thread beside them.
   const int router_threads = testutil::SettledOsThreadCount();
 
@@ -156,7 +161,7 @@ TEST_F(TenantTest, SixtyFourTenantsTwoServiceThreads) {
     fds.push_back(fd);
   }
   EXPECT_EQ(router.TenantCount(), static_cast<size_t>(kTenants));
-  EXPECT_EQ(router.ServiceThreads(), 2);
+  EXPECT_EQ(router.ServiceThreads(), 1);
   if (router_threads >= 0) {
     EXPECT_EQ(testutil::OsThreadCount(), router_threads);
   }
@@ -212,6 +217,44 @@ TEST_F(TenantTest, JournalCreditsThrottleAndAttribute) {
   EXPECT_TRUE(GaugeExists("tenant.quiet.staging_tokens"));
 }
 
+// Shared-journal attribution: a tenant's fsync commits the shared journal on the
+// calling thread, and tenant.<id>.commit_service_ns credits that commit's service
+// time to it. A mounted tenant that never commits reads 0, and the gauge goes with
+// the mount. Async relink is off: its publish runs off the clock and is not
+// attributed.
+TEST_F(TenantTest, CommitServiceIsAttributedToTheCommittingTenant) {
+  TenantRouter router(&kfs_);
+  for (const char* id : {"a", "b", "idle"}) {
+    ASSERT_EQ(router.Mount(id, SmallTenant(Mode::kPosix, /*async=*/false)), 0);
+  }
+  const std::string rec(4096, 'r');
+  for (const char* id : {"a", "b"}) {
+    int fd = router.Open(std::string("/").append(id).append("/log"),
+                         vfs::kCreate | vfs::kRdWr);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(router.Write(fd, rec.data(), rec.size()),
+              static_cast<ssize_t>(rec.size()));
+    ASSERT_EQ(router.Fsync(fd), 0);  // New file + staged append: forces a commit.
+    ASSERT_EQ(router.Close(fd), 0);
+  }
+  int idle_fd = router.Open("/idle/log", vfs::kCreate | vfs::kRdWr);
+  ASSERT_GE(idle_fd, 0);  // Dirties the running transaction, never commits it.
+
+  uint64_t a_ns = 0, b_ns = 0, idle_ns = 1;
+  ASSERT_TRUE(GaugeExists("tenant.a.commit_service_ns", &a_ns));
+  ASSERT_TRUE(GaugeExists("tenant.b.commit_service_ns", &b_ns));
+  ASSERT_TRUE(GaugeExists("tenant.idle.commit_service_ns", &idle_ns));
+  EXPECT_GT(a_ns, 0u);
+  EXPECT_GT(b_ns, 0u);
+  EXPECT_EQ(idle_ns, 0u);
+
+  for (const char* id : {"a", "b", "idle"}) {
+    ASSERT_EQ(router.Unmount(id), 0);
+    EXPECT_FALSE(
+        GaugeExists(std::string("tenant.").append(id).append(".commit_service_ns")));
+  }
+}
+
 // Staging-file admission pacing: a tenant that churns through staging files waits
 // on its own tenant.<id>.staging_throttle, visible in the ledger.
 TEST_F(TenantTest, StagingTokensThrottleAndAttribute) {
@@ -219,7 +262,6 @@ TEST_F(TenantTest, StagingTokensThrottleAndAttribute) {
   TenantOptions hog = SmallTenant(Mode::kPosix, /*async=*/false);
   hog.fs.replenish_thread = false;  // Inline refill: the foreground pays the toll.
   hog.staging_tokens_per_sec = 10.0;  // One staging file per 100 simulated ms.
-  hog.staging_token_burst = 1.0;
   ASSERT_EQ(router.Mount("hog", hog), 0);
 
   int fd = router.Open("/hog/big", vfs::kCreate | vfs::kRdWr);
